@@ -200,7 +200,7 @@ def cmd_train(cfg, out_dir, quiet, data_path=None):
 
 def cmd_sample(cfg, out_dir, quiet, checkpoint=None):
     ck = Path(checkpoint) if checkpoint else out_dir / "checkpoint_best"
-    params, arch, _ = net.load_checkpoint(ck)
+    params, arch, manifest = net.load_checkpoint(ck)
     spec = _system_spec(cfg)
     sc = cfg["sample"]
     prior = flow.GaussianPrior(n=spec.n, d=spec.d,
@@ -208,7 +208,7 @@ def cmd_sample(cfg, out_dir, quiet, checkpoint=None):
     run = flow.sample_with_likelihood(
         params, arch, prior, int(sc["count"]), mode=sc["divergence_mode"],
         steps=int(sc["integrator_steps"]), seed=cfg["seed"],
-        batch_size=int(sc["batch_size"]))
+        Z=manifest.get("extra", {}).get("labels"), batch_size=int(sc["batch_size"]))
     path = out_dir / "samples.csv"
     nd = spec.n * spec.d
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -3,13 +3,14 @@
 The line graph L(G) has one node per directed edge of G and one edge per
 composable pair (i,j) -> (j,k) with i != k, i.e. walks may never
 immediately reverse.  Because longer cycles can still route information
-back to its origin, a boolean table tracks which source nodes each
-line-graph feature depends on; line-graph edges that would close a cycle
-are deactivated before each message-passing step.  This is what keeps the
-feature h_ij independent of x_j for any number of steps.
+back to its origin, sparse sets track which source nodes each line-graph
+feature depends on; line-graph edges that would close a cycle are
+deactivated before each message-passing step.  This is what keeps the
+feature h_ij independent of x_j for any number of steps.  With a KD-tree
+kNN and sets bounded by the receptive field, a plan costs O(n k^steps).
 
 Graphs and line graphs are immutable after construction except for the
-line graph's active-edge mask and the tracking table, which only
+line graph's active-edge mask and the dependence sets, which only
 ``prune_and_update`` mutates.
 """
 
@@ -18,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 
 @dataclass
@@ -27,7 +30,6 @@ class DirectedGraph:
     n: int
     src: np.ndarray
     dst: np.ndarray
-    k: int | None = None  # kNN parameter; None for other constructions
 
     def __post_init__(self):
         self.src = np.asarray(self.src, dtype=np.intp)
@@ -45,16 +47,26 @@ class DirectedGraph:
         return set(zip(self.src.tolist(), self.dst.tolist()))
 
 
-def _canonical_edge_order(n, src, dst):
-    order = np.lexsort((dst, src))
-    return src[order], dst[order]
-
-
 def complete_graph(n: int) -> DirectedGraph:
     """All n(n-1) directed edges."""
     src, dst = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     keep = src != dst
     return DirectedGraph(n=n, src=src[keep], dst=dst[keep])
+
+
+def _symmetrized(n, src, dst) -> tuple[np.ndarray, np.ndarray]:
+    """Union of the edges and their reverses, sorted by (src, dst)."""
+    code = np.unique(np.concatenate([src * n + dst, dst * n + src]))
+    return code // n, code % n
+
+
+def _nearest(x, rows, cand, k):
+    """k nearest of each row's index-sorted candidates; k-th d2; all d2."""
+    d2 = np.sum((x[rows, None, :] - x[cand]) ** 2, axis=-1)
+    d2[cand == rows[:, None]] = np.inf
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    r = np.arange(rows.size)
+    return cand[r[:, None], order], d2[r, order[:, -1]], d2
 
 
 def build_knn_graph(positions: np.ndarray, k: int) -> DirectedGraph:
@@ -64,6 +76,11 @@ def build_knn_graph(positions: np.ndarray, k: int) -> DirectedGraph:
     (Euclidean distance); ties are broken by the smaller node index so the
     construction is deterministic.  Afterwards every edge gains its
     reverse, so degrees may exceed k but never 2k.
+
+    For n > max(k+5, 32) a KD-tree proposes k+5 candidates per node (self
+    included), else all points do.  A row whose k-th distance is not
+    strictly below its farthest finite candidate (less a rounding margin)
+    may tie with a non-candidate and is sorted against all n points.
     """
     x = np.asarray(positions, dtype=np.float64)
     n = x.shape[0]
@@ -71,16 +88,18 @@ def build_knn_graph(positions: np.ndarray, k: int) -> DirectedGraph:
         raise ValueError(f"k={k} out of range for n={n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("positions must be finite")
-    d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    # stable argsort on distance gives index tie-breaks for free
-    nn = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    dst = np.repeat(np.arange(n), k)
-    src = nn.reshape(-1)
-    pairs = set(zip(src.tolist(), dst.tolist()))
-    pairs |= {(j, i) for (i, j) in pairs}
-    arr = np.array(sorted(pairs), dtype=np.intp)
-    return DirectedGraph(n=n, src=arr[:, 0], dst=arr[:, 1], k=k)
+    rows = np.arange(n)
+    if n <= max(k + 5, 32):  # a tree rules out too few points to pay off
+        nn = _nearest(x, rows, np.broadcast_to(rows, (n, n)), k)[0]
+    else:
+        cand = np.sort(cKDTree(x).query(x, k=k + 5)[1], axis=1)
+        nn, kth, d2 = _nearest(x, rows, cand, k)
+        far = np.max(d2, axis=1, where=np.isfinite(d2), initial=-np.inf)
+        bad = rows[~(kth < far * (1.0 - 1e-12))]
+        if bad.size:
+            nn[bad] = _nearest(x, bad, np.tile(rows, (bad.size, 1)), k)[0]
+    src, dst = _symmetrized(n, nn.reshape(-1), np.repeat(rows, k))
+    return DirectedGraph(n=n, src=src, dst=dst)
 
 
 @dataclass
@@ -158,20 +177,22 @@ def build_line_graph(g: DirectedGraph) -> LineGraph:
 class BacktrackArray:
     """Which base-graph nodes each line-graph feature depends on.
 
-    Boolean matrix of shape (number of line nodes, n).  Entries only ever
-    flip from 0 to 1, and the column of an edge's own target stays 0 at
-    every step: that is the invariant pruning enforces.
+    Sparse boolean matrix ``deps`` of shape (number of line nodes, n),
+    read densely through ``table``.  Entries only ever flip from 0 to 1,
+    and the column of an edge's own target stays 0 at every step: that is
+    the invariant pruning enforces.
     """
 
-    table: np.ndarray
+    deps: sp.csr_array
     step: int = 0
 
-    def copy(self) -> "BacktrackArray":
-        return BacktrackArray(table=self.table.copy(), step=self.step)
+    @property
+    def table(self) -> np.ndarray:
+        return self.deps.toarray()
 
 
 def init_backtracking(lg: LineGraph, pd: bool) -> BacktrackArray:
-    """Initial dependence table.
+    """Initial dependence sets.
 
     Plain mode: feature of edge (i,j) starts as an embedding of x_i, so
     only column i is set.  Pairwise-difference mode: the initial feature
@@ -179,13 +200,12 @@ def init_backtracking(lg: LineGraph, pd: bool) -> BacktrackArray:
     all in-neighbors *and* i are set (the difference depends on both ends).
     """
     g = lg.graph
-    table = np.zeros((lg.n_nodes, g.n), dtype=bool)
+    rows, cols = np.arange(g.n_edges), g.src
     if pd:
-        table[lg.t_to, lg.t_tail] = True
-        table[np.arange(g.n_edges), g.src] = True
-    else:
-        table[np.arange(g.n_edges), g.src] = True
-    return BacktrackArray(table=table, step=0)
+        rows, cols = np.r_[rows, lg.t_to], np.r_[cols, lg.t_tail]
+    deps = sp.coo_array((np.ones(rows.size, dtype=bool), (rows, cols)),
+                        shape=(lg.n_nodes, g.n)).tocsr()
+    return BacktrackArray(deps=deps, step=0)
 
 
 def prune_and_update(lg: LineGraph, bt: BacktrackArray) -> tuple[int, BacktrackArray]:
@@ -193,17 +213,19 @@ def prune_and_update(lg: LineGraph, bt: BacktrackArray) -> tuple[int, BacktrackA
 
     A triple (a,b) -> (b,c) is deactivated when the sender's feature
     already depends on x_c, because passing that message would make the
-    receiver (b,c) depend on its own target.  The new table is the union
-    of each receiver's old row with the rows of its remaining senders.
-    Returns the number of triples removed this round.
+    receiver (b,c) depend on its own target.  Each receiver then gains the
+    sets of its remaining senders: deps + A deps, with A the active
+    (receiver, sender) incidence.  Returns the number of triples removed.
     """
-    close = lg.active & bt.table[lg.t_from, lg.t_head]
-    removed = int(np.count_nonzero(close))
-    lg.active &= ~close
-    new = bt.table.copy()
-    m = lg.active
-    np.logical_or.at(new, lg.t_to[m], bt.table[lg.t_from[m]])
-    bt.table = new
+    removed = 0
+    if lg.n_triples:
+        close = lg.active & bt.deps[lg.t_from, lg.t_head]
+        removed = int(np.count_nonzero(close))
+        lg.active &= ~close
+    tf, tt = lg.active_pairs()
+    A = sp.csr_array((np.ones(tf.size, dtype=bool), (tt, tf)),
+                     shape=(lg.n_nodes, lg.n_nodes))
+    bt.deps = bt.deps + A @ bt.deps
     bt.step += 1
     return removed, bt
 
@@ -284,10 +306,8 @@ def partition_multihead(positions: np.ndarray, n_heads: int,
     for lo, hi in windows:
         s, d = src_s[lo:hi], dst_s[lo:hi]
         chunks.append(np.stack([s, d], axis=1))
-        pairs = set(zip(s.tolist(), d.tolist()))
-        pairs |= {(j, i) for (i, j) in pairs}
-        arr = np.array(sorted(pairs), dtype=np.intp)
-        heads.append(DirectedGraph(n=n, src=arr[:, 0], dst=arr[:, 1]))
+        hs, hd = _symmetrized(n, s, d)
+        heads.append(DirectedGraph(n=n, src=hs, dst=hd))
         ranges.append((float(len_s[lo]), float(len_s[hi - 1])))
     return HeadPartition(heads=heads, n_heads=n_heads, overlap=overlap,
                          length_ranges=ranges, chunk_edges=chunks)

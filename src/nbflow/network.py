@@ -221,13 +221,18 @@ def load_checkpoint(prefix) -> tuple[dict[str, np.ndarray], ArchConfig, dict]:
     with open(prefix.with_suffix(".json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
     cfg = ArchConfig.from_dict(manifest["config"])
+    expected = dict(param_shapes(cfg))
+    found = {rec["name"]: tuple(rec["shape"]) for rec in manifest["arrays"]}
+    for name in [*expected, *found]:  # shape None: the array is absent
+        if found.get(name) != expected.get(name):
+            raise ValueError(f"checkpoint array {name!r} has shape "
+                             f"{found.get(name)}, expected {expected.get(name)}")
     blob = np.fromfile(prefix.with_suffix(".bin"), dtype="<f8")
     params = {}
     off = 0
-    for rec in manifest["arrays"]:
-        shape = tuple(rec["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        params[rec["name"]] = blob[off:off + size].reshape(shape).astype(np.float64)
+    for name, shape in found.items():
+        size = int(np.prod(shape))
+        params[name] = blob[off:off + size].reshape(shape).astype(np.float64)
         off += size
     if off != blob.size:
         raise ValueError("checkpoint blob size does not match manifest")
@@ -246,8 +251,6 @@ class HeadPlan:
     step_pairs: list[tuple[np.ndarray, np.ndarray]]  # active (t_from, t_to) per round
     init_from: np.ndarray  # unpruned triples, for the pairwise-diff init
     init_to: np.ndarray
-    line_graphs: list[gt.LineGraph]
-    tables: list[gt.BacktrackArray]
 
 
 @dataclass
@@ -282,7 +285,10 @@ def make_plan(xs: np.ndarray, cfg: ArchConfig,
               ) -> ForwardPlan:
     """Union-of-samples message plan, including the pruning schedule.
 
-    ``xs`` has shape (B, n, d).  ``graph_override`` (one list of head
+    ``xs`` has shape (B, n, d).  Each head's per-sample graphs are joined
+    into one graph over the B*n nodes (sample s owns nodes s*n..s*n+n-1),
+    so a head needs one line graph and one pruning schedule, whose triples
+    come out in per-sample order.  ``graph_override`` (one list of head
     graphs per sample) bypasses geometric construction; tests use it to
     inject hand-built topologies.
     """
@@ -292,55 +298,29 @@ def make_plan(xs: np.ndarray, cfg: ArchConfig,
         per_sample = graph_override
     else:
         per_sample = [sample_graphs(xs[s], cfg) for s in range(B)]
-    n_heads = len(per_sample[0])
     heads = []
-    for q in range(n_heads):
-        src_parts, dst_parts, samp_parts = [], [], []
-        sp_pairs: list[list[np.ndarray]] = [[] for _ in range(cfg.steps)]
-        init_f, init_t = [], []
-        lgs, tables = [], []
-        edge_off = 0
-        for s in range(B):
-            g = per_sample[s][q]
-            src_parts.append(g.src + s * n)
-            dst_parts.append(g.dst + s * n)
-            samp_parts.append(np.full(g.n_edges, s, dtype=np.intp))
-            if cfg.baseline:
-                edge_off += g.n_edges
-                continue
-            lg = gt.build_line_graph(g)
+    for head_graphs in zip(*per_sample):
+        counts = [g.n_edges for g in head_graphs]
+        off = np.repeat(np.arange(B) * n, counts)
+        union = gt.DirectedGraph(
+            n=B * n, src=np.concatenate([g.src for g in head_graphs]) + off,
+            dst=np.concatenate([g.dst for g in head_graphs]) + off)
+        step_pairs = []
+        init_from = init_to = np.zeros(0, dtype=np.intp)
+        if not cfg.baseline:
+            lg = gt.build_line_graph(union)
             bt = gt.init_backtracking(lg, cfg.pairwise_diff)
-            init_f.append(lg.t_from + edge_off)
-            init_t.append(lg.t_to + edge_off)
-            for t in range(cfg.steps):
+            init_from, init_to = lg.t_from, lg.t_to
+            for _ in range(cfg.steps):
                 if cfg.prune:
                     gt.prune_and_update(lg, bt)
-                tf, tt = lg.active_pairs()
-                sp_pairs[t].append(np.stack([tf + edge_off, tt + edge_off]))
-            lgs.append(lg)
-            tables.append(bt)
-            edge_off += g.n_edges
-        step_pairs = []
-        if not cfg.baseline:
-            for t in range(cfg.steps):
-                if sp_pairs[t]:
-                    both = np.concatenate(sp_pairs[t], axis=1)
-                else:
-                    both = np.zeros((2, 0), dtype=np.intp)
-                step_pairs.append((both[0], both[1]))
+                step_pairs.append(lg.active_pairs())
         heads.append(HeadPlan(
-            src=np.concatenate(src_parts) if src_parts else np.zeros(0, np.intp),
-            dst=np.concatenate(dst_parts) if dst_parts else np.zeros(0, np.intp),
-            edge_sample=np.concatenate(samp_parts) if samp_parts else np.zeros(0, np.intp),
-            step_pairs=step_pairs,
-            init_from=np.concatenate(init_f) if init_f else np.zeros(0, np.intp),
-            init_to=np.concatenate(init_t) if init_t else np.zeros(0, np.intp),
-            line_graphs=lgs,
-            tables=tables,
-        ))
-    node_sample = np.repeat(np.arange(B), n)
+            src=union.src, dst=union.dst,
+            edge_sample=np.repeat(np.arange(B), counts),
+            step_pairs=step_pairs, init_from=init_from, init_to=init_to))
     return ForwardPlan(n_total=B * n, n_samples=B, n_per_sample=n,
-                       node_sample=node_sample, heads=heads)
+                       node_sample=np.repeat(np.arange(B), n), heads=heads)
 
 
 # ---------------------------------------------------------------------------

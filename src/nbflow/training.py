@@ -197,7 +197,7 @@ def train(train_cfg: TrainConfig, arch_cfg: net.ArchConfig,
     Adam step on the regression loss.  Validation uses a held-out slice
     with a fixed noise realization per epoch so the best-checkpoint
     selection is comparable across epochs.  Writes ``loss_log.csv`` plus
-    best/last checkpoints into ``out_dir``.
+    best/last checkpoints (labels ``Z`` in their ``extra``) into ``out_dir``.
     """
     train_cfg.validate()
     arch_cfg.validate()
@@ -229,6 +229,7 @@ def train(train_cfg: TrainConfig, arch_cfg: net.ArchConfig,
     best_epoch = -1
     t_start = time.perf_counter()
     B = min(train_cfg.batch_size, len(trn_x))
+    labels = None if Z is None else np.asarray(Z, dtype=int).tolist()
     with open(log_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["epoch", "train_loss", "val_loss", "lr", "wallclock_s"])
@@ -269,17 +270,16 @@ def train(train_cfg: TrainConfig, arch_cfg: net.ArchConfig,
             if not quiet:
                 print(f"epoch {epoch:4d}  train {train_loss:.5f}  "
                       f"val {val_loss:.5f}  lr {lr:.2e}")
+            extra = {"epoch": epoch, "val_loss": val_loss, "labels": labels}
             if val_loss < best_val:
                 best_val = val_loss
                 best_epoch = epoch
                 net.save_checkpoint(best_path, params, arch_cfg,
-                                    seed=train_cfg.seed,
-                                    extra={"epoch": epoch, "val_loss": val_loss})
+                                    seed=train_cfg.seed, extra=extra)
             if (epoch + 1) % train_cfg.checkpoint_every == 0 \
                     or epoch == train_cfg.epochs - 1:
                 net.save_checkpoint(last_path, params, arch_cfg,
-                                    seed=train_cfg.seed,
-                                    extra={"epoch": epoch, "val_loss": val_loss})
+                                    seed=train_cfg.seed, extra=extra)
     return TrainResult(params=params, best_checkpoint=best_path,
                        last_checkpoint=last_path, loss_log=log_path,
                        train_losses=train_losses, val_losses=val_losses,

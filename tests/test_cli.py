@@ -8,6 +8,7 @@ import pytest
 from nbflow import cli
 from nbflow import flow
 from nbflow import network as net
+from nbflow import training
 
 
 def run(args):
@@ -127,6 +128,24 @@ class TestPipeline:
         metrics = json.loads(base.read_text())
         assert metrics["effsu"] == pytest.approx(1.0)
         assert metrics["effsu_rem"] == pytest.approx(1.0)
+
+    def test_sample_uses_training_labels(self, tmp_path):
+        labels = np.array([0, 1, 1])
+        x = np.random.default_rng(0).standard_normal((64, 3, 2))
+        training.save_data_csv(tmp_path / "data.csv", x, Z=labels)
+        args = self._base_args(tmp_path) + ["--set", "model.n_types=2",
+                                            "--seed", "3"]
+        assert run(["train"] + args) == 0
+        assert run(["sample"] + args) == 0
+        params, arch, _ = net.load_checkpoint(tmp_path / "checkpoint_best")
+        prior = flow.GaussianPrior(n=3, d=2, mean_free=arch.pairwise_diff)
+        expect = flow.sample_with_likelihood(
+            params, arch, prior, 64, steps=5, seed=3, batch_size=32, Z=labels)
+        rows = np.genfromtxt(tmp_path / "samples.csv", delimiter=",",
+                             names=True)
+        x1 = np.stack([rows[f"x{i}"] for i in range(6)], axis=1)
+        np.testing.assert_array_equal(x1, expect.x.reshape(64, 6))
+        np.testing.assert_array_equal(rows["logrho1"], expect.logrho1)
 
 
 class TestMissingInputs:

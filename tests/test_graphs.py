@@ -9,8 +9,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nbflow import graphs as gt
+from nbflow import network as net
 
 
 def brute_force_knn_edges(x, k):
@@ -311,3 +313,136 @@ class TestMultiheadPartition:
         x = np.zeros((3, 2))
         with pytest.raises(ValueError):
             gt.partition_multihead(x, n_heads=2, overlap=2)
+
+
+# ---------------------------------------------------------------------------
+# property tests: the fast plan against the oracles above
+# ---------------------------------------------------------------------------
+
+def make_cloud(kind, n, d, seed):
+    """Gaussian cloud, integer lattice (exact ties) or one with duplicates."""
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":
+        return rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    x = rng.standard_normal((n, d))
+    if kind == "coincident":
+        x[rng.integers(0, n, size=n // 2)] = x[rng.integers(0, n, size=n // 2)]
+    return x
+
+
+def random_graph(n, seed):
+    """Random directed graph over n nodes, possibly without any triple."""
+    rng = np.random.default_rng(seed)
+    edges = [(a, b) for a in range(n) for b in range(n)
+             if a != b and rng.random() < 0.4]
+    if not edges:
+        edges = [(0, 1), (1, 0)]  # the 2-cycle: line nodes but no triples
+    return graph_from_edges(n, edges)
+
+
+def pruned_dependence_oracle(g, pd, rounds):
+    """Set-based pruning schedule: (active list, dependence sets) per round."""
+    lg = gt.build_line_graph(g)
+    triples = list(zip(lg.t_from.tolist(), lg.t_to.tolist(),
+                       lg.t_tail.tolist(), lg.t_head.tolist()))
+    dep = [{int(g.src[e])} for e in range(g.n_edges)]
+    if pd:
+        for _, rcv, tail, _ in triples:
+            dep[rcv].add(tail)
+    active = [True] * len(triples)
+    history = []
+    for _ in range(rounds):
+        for i, (snd, _, _, head) in enumerate(triples):
+            if active[i] and head in dep[snd]:
+                active[i] = False
+        new = [set(s) for s in dep]
+        for i, (snd, rcv, _, _) in enumerate(triples):
+            if active[i]:
+                new[rcv] |= dep[snd]
+        dep = new
+        history.append((list(active), [set(s) for s in dep]))
+    return history
+
+
+def head_arrays(hp):
+    """A head plan's index arrays by name, one pair per round."""
+    out = {name: getattr(hp, name) for name in
+           ("src", "dst", "edge_sample", "init_from", "init_to")}
+    for t, (tf, tt) in enumerate(hp.step_pairs):
+        out[f"from{t}"], out[f"to{t}"] = tf, tt
+    return out
+
+
+def concatenated_heads(parts, n):
+    """Single-sample head plans joined with node and edge offsets."""
+    nodes = [s * n for s in range(len(parts))]
+    edges = np.cumsum([0] + [len(p.src) for p in parts])
+    shift = {"src": nodes, "dst": nodes, "edge_sample": range(len(parts))}
+    arrays = [head_arrays(p) for p in parts]
+    return {name: np.concatenate([a[name] + off for a, off in
+                                  zip(arrays, shift.get(name, edges))]
+                                 ).astype(np.intp)
+            for name in arrays[0]}
+
+
+clouds = st.sampled_from(["gaussian", "lattice", "coincident"])
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestPlanProperties:
+    @given(kind=clouds, n=st.integers(2, 300), d=st.integers(1, 4),
+           k=st.integers(1, 6), seed=seeds)
+    def test_knn_equals_brute_force(self, kind, n, d, k, seed):
+        x = make_cloud(kind, n, d, seed)
+        k = min(k, n - 1)
+        g = gt.build_knn_graph(x, k)
+        assert g.edge_set() == brute_force_knn_edges(x, k)
+        assert [tuple(e) for e in zip(g.src.tolist(), g.dst.tolist())] \
+            == sorted(g.edge_set())
+
+    @given(source=st.sampled_from(["knn", "complete", "random"]),
+           n=st.integers(2, 12), pd=st.booleans(), rounds=st.integers(1, 3),
+           seed=seeds)
+    def test_sparse_pruning_equals_set_oracle(self, source, n, pd, rounds,
+                                              seed):
+        if source == "knn":
+            k = int(np.random.default_rng(seed).integers(1, n))
+            g = gt.build_knn_graph(make_cloud("gaussian", n, 2, seed), k)
+        elif source == "complete":
+            g = gt.complete_graph(n)
+        else:
+            g = random_graph(n, seed)
+        lg = gt.build_line_graph(g)
+        bt = gt.init_backtracking(lg, pd)
+        for active, dep in pruned_dependence_oracle(g, pd, rounds):
+            _, bt = gt.prune_and_update(lg, bt)
+            assert lg.active.tolist() == active
+            assert [set(np.flatnonzero(row).tolist())
+                    for row in bt.table] == dep
+
+    @given(mode=st.sampled_from(["knn", "knn_pd", "heads", "override"]),
+           B=st.integers(1, 5), n=st.integers(2, 10), seed=seeds)
+    def test_batched_plan_equals_concatenated_samples(self, mode, B, n, seed):
+        rng = np.random.default_rng(seed)
+        xs = rng.standard_normal((B, n, 2))
+        override = None
+        if mode == "heads":
+            H = int(rng.integers(1, 4))
+            cfg = net.ArchConfig(steps=3, heads=H,
+                                 overlap=int(rng.integers(0, H)))
+        else:
+            cfg = net.ArchConfig(steps=3, knn_k=int(rng.integers(1, n)),
+                                 pairwise_diff=mode == "knn_pd")
+            if mode == "override":
+                override = [[random_graph(n, seed + s)] for s in range(B)]
+        plan = net.make_plan(xs, cfg.validate(), override)
+        singles = [net.make_plan(xs[s:s + 1], cfg, override and override[s:s + 1])
+                   for s in range(B)]
+        for q, hp in enumerate(plan.heads):
+            got = head_arrays(hp)
+            expect = concatenated_heads([p.heads[q] for p in singles], n)
+            assert len(hp.step_pairs) == cfg.steps
+            assert got.keys() == expect.keys()
+            for name, arr in expect.items():
+                assert got[name].dtype == arr.dtype, name
+                assert got[name].tobytes() == arr.tobytes(), name

@@ -7,6 +7,7 @@ dependence oracle.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -261,8 +262,7 @@ class TestConditionerIndependence:
             params = net.init_params(cfg, seed=trial)
             x = rng.standard_normal((n, 2))
             fb, xv = build_with_tape(params, cfg, x, t=0.2)
-            hp = fb.plan.heads[0]
-            g = hp.line_graphs[0].graph
+            g = gt.build_knn_graph(x, k)
             for t_idx, (s_var, v_var) in enumerate(fb.h_steps[0]):
                 for ln in range(g.n_edges):
                     grad = feature_gradient(fb, xv, s_var, v_var, ln, rng)
@@ -564,6 +564,27 @@ class TestCheckpoints:
         blob = np.fromfile(tmp_path / "ck.bin", dtype="<f8")
         blob[:-3].tofile(tmp_path / "ck.bin")
         with pytest.raises(ValueError):
+            net.load_checkpoint(tmp_path / "ck")
+
+    def _edit_manifest(self, tmp_path, edit):
+        cfg = net.ArchConfig(n_hidden=4, steps=1, knn_k=1).validate()
+        net.save_checkpoint(tmp_path / "ck", net.init_params(cfg, seed=0), cfg)
+        path = tmp_path / "ck.json"
+        manifest = json.loads(path.read_text())
+        rec = next(r for r in manifest["arrays"] if r["name"] == "embed.W1")
+        edit(rec)
+        path.write_text(json.dumps(manifest))
+
+    def test_renamed_array_rejected(self, tmp_path):
+        self._edit_manifest(tmp_path, lambda rec: rec.update(name="embed.W9"))
+        with pytest.raises(ValueError, match="embed.W1"):
+            net.load_checkpoint(tmp_path / "ck")
+
+    def test_misshapen_array_rejected(self, tmp_path):
+        # same element count, so the blob size still matches
+        self._edit_manifest(tmp_path, lambda rec: rec.update(
+            shape=rec["shape"][::-1]))
+        with pytest.raises(ValueError, match="embed.W1"):
             net.load_checkpoint(tmp_path / "ck")
 
 
