@@ -3,13 +3,16 @@
 The package provides:
 
 - ``autodiff``: a small reverse-mode tape over numpy arrays with detach
-  and probe-vector Jacobian-diagonal extraction,
+  and probe-vector Jacobian-diagonal extraction (d probes for the hollow
+  field, n*d for brute force),
 - ``graphs``: kNN graphs, non-backtracking line graphs, the dependence
   tracking table that drives edge pruning, and multi-head partitions,
 - ``network``: the equivariant message-passing vector field whose Jacobian
   splits into a block-hollow and a block-diagonal part, plus a standard
   GNN baseline,
-- ``flow``: fixed-step RK4 transport of samples and exact log-densities,
+- ``flow``: the field with its exact divergence in one call
+  (``field_and_divergence``), and fixed-step RK4 transport of samples and
+  exact log-densities,
 - ``training``: conditional flow matching with minibatch optimal-transport
   coupling and Adam,
 - ``boltzmann``: analytic target energies, Metropolis MCMC data

@@ -19,7 +19,7 @@ backward-pass counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -431,27 +431,14 @@ _BACKWARD: dict[str, Callable] = {
 # flat-vector program interface
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ProbeVectorSet:
-    """The d binary probe vectors that read a block-diagonal Jacobian.
+def probe_vectors(n: int, d: int) -> np.ndarray:
+    """The (d, n*d) binary probe vectors that read a block-diagonal Jacobian.
 
     Probe i has ones exactly at flat coordinates congruent to i modulo d
     (row-major (n, d) flattening), so each probe has n ones, probes are
     pairwise orthogonal, and they sum to the all-ones vector.
     """
-
-    n: int
-    d: int
-
-    def vectors(self) -> np.ndarray:
-        vs = np.zeros((self.d, self.n * self.d))
-        for i in range(self.d):
-            vs[i, i::self.d] = 1.0
-        return vs
-
-
-def probe_vectors(n: int, d: int) -> ProbeVectorSet:
-    return ProbeVectorSet(n=n, d=d)
+    return np.tile(np.eye(d), n)
 
 
 class Program:
@@ -500,22 +487,25 @@ def vjp(program: Program, cotangent) -> np.ndarray:
     return g.reshape(-1)
 
 
-def jacobian_diagonal(program: Program, probes: ProbeVectorSet) -> np.ndarray:
-    """All n*d diagonal Jacobian entries using exactly d reverse passes.
+def jacobian_diagonal(program: Program, probes: np.ndarray) -> np.ndarray:
+    """All diagonal Jacobian entries with one reverse pass per probe.
 
-    Requires the program's effective Jacobian to be block-diagonal with
-    d x d blocks (arrange this with detach markers); entry i + d*(k-1) is
-    read from probe i's vector-Jacobian product at that same position.
+    With p = len(probes), entry m is read from probe (m mod p)'s
+    vector-Jacobian product at position m.  That is exact when the
+    program's effective Jacobian (arrange it with detach markers) is
+    block-diagonal in aligned p x p blocks: ``probe_vectors(n, d)`` reads
+    the d x d particle blocks of the detached hollow field in d passes,
+    ``probe_vectors(B, n*d)`` any field of B independent samples in n*d.
     """
-    nd = probes.n * probes.d
-    if program.n_in != nd:
-        raise ValueError(f"probe set for {nd} coords, program takes {program.n_in}")
-    if program.n_out != nd:
-        raise ValueError(f"probe set for {nd} coords, program returns {program.n_out}")
-    diag = np.empty(nd)
-    for i, v in enumerate(probes.vectors()):
+    p, size = probes.shape
+    if program.n_in != size:
+        raise ValueError(f"probes for {size} coords, program takes {program.n_in}")
+    if program.n_out != size:
+        raise ValueError(f"probes for {size} coords, program returns {program.n_out}")
+    diag = np.empty(size)
+    for i, v in enumerate(probes):
         row = vjp(program, v)
-        diag[i::probes.d] = row[i::probes.d]
+        diag[i::p] = row[i::p]
     return diag
 
 

@@ -10,14 +10,12 @@ brute-force baseline.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import autodiff as ad
+from . import flow
 from . import network as net
-from .flow import _batch_diag_sums
 
 BENCH_FIELDS = ["mode", "n", "d", "k", "steps", "n_edges", "n_lg_edges",
                 "rt", "rt_forward", "rt_divergence", "reverse_passes",
@@ -72,15 +70,10 @@ def measure_step(params, cfg: net.ArchConfig, x: np.ndarray, Z=None,
     div_mode = "hollow" if mode == "hollow" else "brute"
 
     def one_step():
-        prog = net.make_field_program(
-            params, cfg, n, d, Z=Z, t=t,
-            detach_conditioner=(mode == "hollow"))
-        t0 = time.perf_counter()
-        ad.forward_eval(prog, x.reshape(-1))
-        t1 = time.perf_counter()
-        _batch_diag_sums(prog, 1, n, d, div_mode)
-        t2 = time.perf_counter()
-        return t1 - t0, t2 - t1, prog.tape.n_reverse_passes
+        _, _, stats = flow.field_and_divergence(params, cfg, x[None], Z, t,
+                                                mode=div_mode)
+        return (stats["seconds_forward"], stats["seconds_divergence"],
+                stats["reverse_passes"])
 
     one_step()  # warm-up
     while True:

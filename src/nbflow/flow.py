@@ -6,18 +6,21 @@ integrated divergence of b along the trajectory.  Integration is classic
 fixed-step RK4 with the log-density carried as an augmented state so the
 divergence is evaluated at the same stage points as the velocity.
 
-Divergence modes:
+``field_and_divergence`` is the one evaluation of the velocity with its
+divergence; ``divergence``, ``ModelField.rate`` (the RK4 rate) and the
+benchmark step all call it.  Divergence modes:
 
 - ``hollow``: detach the conditioner path and read the full Jacobian
   diagonal with d probe backward passes (valid only for the hollow field,
   whose detached Jacobian is block-diagonal).
 - ``brute``: n*d backward passes with unit cotangents; works for any
   field and is the reference the hollow mode must match exactly.
-- ``fd``: trace of the central finite-difference Jacobian; the slow
-  independent oracle.
+- ``fd``: trace of the central finite-difference Jacobian, one sample at
+  a time; the slow independent oracle.
 
-Batches integrate as one disjoint union, so hollow mode still spends only
-d backward passes per stage for the whole batch.
+Both backward-pass modes are ``autodiff.jacobian_diagonal`` with a
+different probe set.  Batches evaluate as one disjoint union, so hollow
+mode still spends only d backward passes per stage for the whole batch.
 """
 
 from __future__ import annotations
@@ -73,23 +76,58 @@ class GaussianPrior:
 # divergence of the model field
 # ---------------------------------------------------------------------------
 
-def _batch_diag_sums(program: ad.Program, batch: int, n: int, d: int,
-                     mode: str) -> np.ndarray:
-    """Per-sample Jacobian traces of an already-evaluated program."""
-    nd = n * d
-    diag = np.empty(batch * nd)
-    if mode == "hollow":
-        for i, v in enumerate(ad.probe_vectors(batch * n, d).vectors()):
-            row = ad.vjp(program, v)
-            diag[i::d] = row[i::d]
-    else:  # brute: one pass per within-sample coordinate
-        u = np.zeros(batch * nd)
-        for m in range(nd):
-            u[:] = 0.0
-            u[m::nd] = 1.0
-            row = ad.vjp(program, u)
-            diag[m::nd] = row[m::nd]
-    return diag.reshape(batch, nd).sum(axis=1)
+def _check_mode(cfg: net.ArchConfig, mode: str):
+    if mode not in DIVERGENCE_MODES:
+        raise ValueError(f"unknown divergence mode {mode!r}")
+    if mode == "hollow" and cfg.baseline:
+        raise ValueError("hollow divergence requires the hollow field, "
+                         "not a baseline")
+
+
+def field_and_divergence(params, cfg: net.ArchConfig, x, Z=None,
+                         t: float = 0.0, mode: str = "hollow",
+                         graph_override=None):
+    """Velocity and exact divergence of the field for a (B, n, d) batch.
+
+    Returns (velocity (B, n, d), divergence (B,), stats); ``stats`` holds
+    the reverse-pass count and the seconds spent on the forward pass
+    (graph plan included) and on the divergence.  Hollow and brute mode
+    evaluate the batch as one program and read its diagonal with d or n*d
+    probe passes; fd evaluates one program per sample, with that sample's
+    labels, time and graph override, and differentiates it numerically.
+    """
+    _check_mode(cfg, mode)
+    x = np.asarray(x, dtype=np.float64)
+    B, n, d = x.shape
+    if mode == "fd":
+        Zs, ts, go = net.batch_inputs(B, n, Z, t, graph_override)
+        chunks = [(x[s:s + 1], Zs[s], ts[s], None if go is None else go[s])
+                  for s in range(B)]
+    else:
+        chunks = [(x, Z, t, graph_override)]
+        probes = (ad.probe_vectors(B * n, d) if mode == "hollow"
+                  else ad.probe_vectors(B, n * d))
+    stats = {"reverse_passes": 0, "seconds_forward": 0.0,
+             "seconds_divergence": 0.0}
+    vel, diag = [], []
+    for xc, Zc, tc, goc in chunks:
+        t0 = time.perf_counter()
+        prog = net.make_field_program(params, cfg, n, d, Z=Zc, t=tc,
+                                      batch=len(xc), graph_override=goc,
+                                      detach_conditioner=(mode == "hollow"))
+        vel.append(ad.forward_eval(prog, xc.reshape(-1)))
+        t1 = time.perf_counter()
+        if mode == "fd":
+            J = ad.full_jacobian_fd(lambda v: ad.forward_eval(prog, v),
+                                    xc.reshape(-1))
+            diag.append(np.diag(J))
+        else:
+            diag.append(ad.jacobian_diagonal(prog, probes))
+        stats["reverse_passes"] += prog.tape.n_reverse_passes
+        stats["seconds_forward"] += t1 - t0
+        stats["seconds_divergence"] += time.perf_counter() - t1
+    div = np.concatenate(diag).reshape(B, n * d).sum(axis=1)
+    return np.concatenate(vel).reshape(B, n, d), div, stats
 
 
 def divergence(params, cfg: net.ArchConfig, x, Z=None, t: float = 0.0,
@@ -101,52 +139,22 @@ def divergence(params, cfg: net.ArchConfig, x, Z=None, t: float = 0.0,
     ``info`` is a dict it receives the backward-pass count and the field
     values under keys "reverse_passes" and "velocity".
     """
-    if mode not in DIVERGENCE_MODES:
-        raise ValueError(f"unknown divergence mode {mode!r}")
-    if mode == "hollow" and cfg.baseline:
-        raise ValueError("hollow divergence requires the hollow field, "
-                         "not a baseline")
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 2
-    xs = x[None] if single else x
-    B, n, d = xs.shape
-
-    if mode == "fd":
-        divs = np.empty(B)
-        vel = np.empty_like(xs)
-        for s in range(B):
-            prog = net.make_field_program(params, cfg, n, d, Z=Z, t=t,
-                                          graph_override=graph_override)
-            vel[s] = ad.forward_eval(prog, xs[s].reshape(-1)).reshape(n, d)
-            fn = lambda v: ad.forward_eval(prog, v)
-            J = ad.full_jacobian_fd(fn, xs[s].reshape(-1))
-            divs[s] = np.trace(J)
-        if info is not None:
-            info["reverse_passes"] = 0
-            info["velocity"] = vel[0] if single else vel
-        return float(divs[0]) if single else divs
-
-    prog = net.make_field_program(params, cfg, n, d, Z=Z, t=t, batch=B,
-                                  graph_override=graph_override,
-                                  detach_conditioner=(mode == "hollow"))
-    vel = ad.forward_eval(prog, xs.reshape(-1)).reshape(B, n, d)
-    before = prog.tape.n_reverse_passes
-    divs = _batch_diag_sums(prog, B, n, d, mode)
+    vel, div, stats = field_and_divergence(
+        params, cfg, x[None] if single else x, Z, t, mode, graph_override)
     if info is not None:
-        info["reverse_passes"] = prog.tape.n_reverse_passes - before
+        info["reverse_passes"] = stats["reverse_passes"]
         info["velocity"] = vel[0] if single else vel
-    return float(divs[0]) if single else divs
+    return float(div[0]) if single else div
 
 
 class ModelField:
-    """Joint velocity/divergence evaluator with timing and pass counters."""
+    """Joint velocity/divergence evaluator that adds up timings and passes."""
 
     def __init__(self, params, cfg: net.ArchConfig, Z=None,
                  mode: str = "hollow", graph_override=None):
-        if mode not in DIVERGENCE_MODES:
-            raise ValueError(f"unknown divergence mode {mode!r}")
-        if mode == "hollow" and cfg.baseline:
-            raise ValueError("hollow divergence requires the hollow field")
+        _check_mode(cfg, mode)
         self.params = params
         self.cfg = cfg
         self.Z = Z
@@ -155,37 +163,15 @@ class ModelField:
         self.seconds_forward = 0.0
         self.seconds_divergence = 0.0
         self.reverse_passes = 0
-        self.evaluations = 0
-
-    def velocity(self, x, t):
-        xs = np.asarray(x, dtype=np.float64)
-        return net.evaluate_field(self.params, self.cfg, xs, self.Z, t,
-                                  self.graph_override)
 
     def rate(self, x, t):
         """(velocity, divergence) at one time point for a (B,n,d) batch."""
-        xs = np.asarray(x, dtype=np.float64)
-        B, n, d = xs.shape
-        if self.mode == "fd":
-            info = {}
-            div = divergence(self.params, self.cfg, xs, self.Z, t,
-                             mode="fd", graph_override=self.graph_override,
-                             info=info)
-            self.evaluations += 1
-            return info["velocity"], div
-        t0 = time.perf_counter()
-        prog = net.make_field_program(
-            self.params, self.cfg, n, d, Z=self.Z, t=t, batch=B,
-            graph_override=self.graph_override,
-            detach_conditioner=(self.mode == "hollow"))
-        vel = ad.forward_eval(prog, xs.reshape(-1)).reshape(B, n, d)
-        t1 = time.perf_counter()
-        div = _batch_diag_sums(prog, B, n, d, self.mode)
-        t2 = time.perf_counter()
-        self.seconds_forward += t1 - t0
-        self.seconds_divergence += t2 - t1
-        self.reverse_passes += prog.tape.n_reverse_passes
-        self.evaluations += 1
+        vel, div, stats = field_and_divergence(
+            self.params, self.cfg, x, self.Z, t, self.mode,
+            self.graph_override)
+        self.seconds_forward += stats["seconds_forward"]
+        self.seconds_divergence += stats["seconds_divergence"]
+        self.reverse_passes += stats["reverse_passes"]
         return vel, div
 
 

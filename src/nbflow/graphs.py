@@ -268,7 +268,8 @@ def partition_multihead(positions: np.ndarray, n_heads: int,
     whose sizes differ by at most one, the longer chunks coming first.
     With overlap I, every chunk has ~#E/(n_heads - I) edges and the chunk
     centers are spaced evenly over the sorted list, so consecutive heads
-    share edges.  Each head is symmetrized after chunking.
+    share edges.  Each head is symmetrized after chunking.  With more heads
+    than edges the surplus heads are empty, with a NaN length range.
     """
     x = np.asarray(positions, dtype=np.float64)
     n = x.shape[0]
@@ -308,6 +309,7 @@ def partition_multihead(positions: np.ndarray, n_heads: int,
         chunks.append(np.stack([s, d], axis=1))
         hs, hd = _symmetrized(n, s, d)
         heads.append(DirectedGraph(n=n, src=hs, dst=hd))
-        ranges.append((float(len_s[lo]), float(len_s[hi - 1])))
+        ranges.append((float(len_s[lo]), float(len_s[hi - 1])) if hi > lo
+                      else (np.nan, np.nan))
     return HeadPartition(heads=heads, n_heads=n_heads, overlap=overlap,
                          length_ranges=ranges, chunk_edges=chunks)

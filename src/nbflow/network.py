@@ -256,7 +256,6 @@ class HeadPlan:
 @dataclass
 class ForwardPlan:
     n_total: int
-    n_samples: int
     n_per_sample: int
     node_sample: np.ndarray
     heads: list[HeadPlan]
@@ -319,7 +318,7 @@ def make_plan(xs: np.ndarray, cfg: ArchConfig,
             src=union.src, dst=union.dst,
             edge_sample=np.repeat(np.arange(B), counts),
             step_pairs=step_pairs, init_from=init_from, init_to=init_to))
-    return ForwardPlan(n_total=B * n, n_samples=B, n_per_sample=n,
+    return ForwardPlan(n_total=B * n, n_per_sample=n,
                        node_sample=np.repeat(np.arange(B), n), heads=heads)
 
 
@@ -432,13 +431,6 @@ def message_step(params: dict, cfg: ArchConfig, h_s: np.ndarray,
     return hs2.value, hv2.value
 
 
-def attention_message_step(params, cfg, h_s, h_v, lg, t=0.0):
-    """``message_step`` for configurations with an attention message."""
-    if cfg.attention is None:
-        raise ValueError("attention flag not set")
-    return message_step(params, cfg, h_s, h_v, lg, t)
-
-
 def _time_features(t_rows: np.ndarray) -> np.ndarray:
     ang = 2.0 * np.pi * np.asarray(t_rows, dtype=np.float64)
     return np.stack([np.sin(ang), np.cos(ang)], axis=1)
@@ -449,9 +441,7 @@ class FieldBuild:
     """Handles into one recorded evaluation of the field."""
 
     tape: Tape
-    x: Var
     b: Var
-    plan: ForwardPlan
     h_steps: list[list[tuple[Var, Var]]]  # [head][round] -> (s, v), round 0 = init
 
 
@@ -466,7 +456,6 @@ def build_field(tape: Tape, pv: dict[str, Var], cfg: ArchConfig, x: Var,
     which leaves values unchanged but makes the surviving Jacobian
     block-diagonal.
     """
-    nh = cfg.n_hidden
     N = plan.n_total
     n_loc = plan.n_per_sample
     t_samples = np.asarray(t_samples, dtype=np.float64)
@@ -495,7 +484,7 @@ def build_field(tape: Tape, pv: dict[str, Var], cfg: ArchConfig, x: Var,
         else:
             hs, hv = gather(ns, hp.src), gather(nv, hp.src)
         h_steps = [(hs, hv)]
-        for t_idx, (t_from, t_to) in enumerate(hp.step_pairs):
+        for t_from, t_to in hp.step_pairs:
             m_s, m_v = _message_rows(tape, pv, cfg, hs, hv, t_from, t_to,
                                      tf_edge[t_to])
             M_s = segment_sum(m_s, t_to, E)
@@ -511,17 +500,12 @@ def build_field(tape: Tape, pv: dict[str, Var], cfg: ArchConfig, x: Var,
                             None if local_id is None else local_id[hp.src])
         else:
             rs, rv = gather(ns, hp.dst), gather(nv, hp.dst)
-        hro_s = detach(hs) if detach_conditioner else hs
-        hro_v = detach(hv) if detach_conditioner else hv
-        rin = concat([hro_s, rs, dot_last(hro_v, rv), tape.const(tf_edge)])
-        z = _mlp(pv, "read", rin)
-        gh = slice_cols(z, 0, nh)
-        gn = slice_cols(z, nh, 2 * nh)
-        contrib = sum_channels(scale_channels(hro_v, gh) + scale_channels(rv, gn))
-        b_head = segment_sum(contrib, hp.dst, N)
+        if detach_conditioner:
+            hs, hv = detach(hs), detach(hv)
+        b_head = _readout(tape, pv, cfg, hs, hv, rs, rv, tf_edge, hp.dst, N)
         b = b_head if b is None else b + b_head
 
-    return FieldBuild(tape=tape, x=x, b=b, plan=plan, h_steps=h_steps_all)
+    return FieldBuild(tape=tape, b=b, h_steps=h_steps_all)
 
 
 def _build_baseline(tape, pv, cfg, x, Z, plan, tf_node, local_id):
@@ -554,33 +538,45 @@ def _build_baseline(tape, pv, cfg, x, Z, plan, tf_node, local_id):
         hs, hv = _update(tape, pv, cfg, hs, hv, M_s, M_v, tf_node)
         h_steps.append((hs, hv))
     # readout sums per-edge contributions, so isolated nodes get zero
-    hs_i, hv_i = gather(hs, hp.dst), gather(hv, hp.dst)
-    ns_j, nv_j = gather(n_s, hp.src), gather(n_v, hp.src)
-    rin = concat([hs_i, ns_j, dot_last(hv_i, nv_j), tape.const(tf_edge)])
+    b = _readout(tape, pv, cfg, gather(hs, hp.dst), gather(hv, hp.dst),
+                 gather(n_s, hp.src), gather(n_v, hp.src), tf_edge, hp.dst, N)
+    return FieldBuild(tape=tape, b=b, h_steps=[h_steps])
+
+
+def _readout(tape, pv, cfg, hs, hv, rs, rv, tf_rows, dst, N):
+    """Per-edge readout summed into the receivers ``dst``.
+
+    (hs, hv) are the edge's message features, (rs, rv) the receiver-side
+    input; the velocity is a scalar-gated sum of both vector channels.
+    """
+    nh = cfg.n_hidden
+    rin = concat([hs, rs, dot_last(hv, rv), tape.const(tf_rows)])
     z = _mlp(pv, "read", rin)
     gh = slice_cols(z, 0, nh)
     gn = slice_cols(z, nh, 2 * nh)
-    contrib = sum_channels(scale_channels(hv_i, gh) + scale_channels(nv_j, gn))
-    b = segment_sum(contrib, hp.dst, N)
-    return FieldBuild(tape=tape, x=x, b=b, plan=plan, h_steps=[h_steps])
+    contrib = sum_channels(scale_channels(hv, gh) + scale_channels(rv, gn))
+    return segment_sum(contrib, dst, N)
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 # ---------------------------------------------------------------------------
 
-def _normalize_inputs(x, Z):
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 2
-    if single:
-        x = x[None]
-    B, n, d = x.shape
-    if Z is None:
-        Z = np.zeros(n, dtype=int)
-    Z = np.asarray(Z, dtype=int)
-    if Z.ndim == 1:
-        Z = np.broadcast_to(Z, (B, n))
-    return x, Z.reshape(B * n), single
+def batch_inputs(B: int, n: int, Z=None, t=0.0, graph_override=None):
+    """Per-sample inputs of a B-sample batch of n particles.
+
+    Returns labels as a (B, n) int array (from None, one (n,) row shared by
+    all samples, or one row per sample), one flow time per sample, and
+    ``graph_override`` as one list of head graphs per sample (or None).
+    """
+    Z = np.zeros(n, dtype=int) if Z is None else np.asarray(Z, dtype=int)
+    if Z.shape not in ((n,), (B, n)):
+        raise ValueError(f"labels Z have shape {Z.shape}, expected ({n},) "
+                         f"or ({B}, {n})")
+    t_samples = np.broadcast_to(np.asarray(t, dtype=np.float64), (B,))
+    if graph_override is not None and not isinstance(graph_override[0], list):
+        graph_override = [list(graph_override)] * B
+    return np.broadcast_to(Z, (B, n)), t_samples, graph_override
 
 
 def evaluate_field(params, cfg: ArchConfig, x, Z=None, t=0.0,
@@ -591,16 +587,16 @@ def evaluate_field(params, cfg: ArchConfig, x, Z=None, t=0.0,
     if isinstance(x, ParticleConfiguration):
         x.validate()
         x, Z, t = x.x, x.Z, x.t
-    x, Zf, single = _normalize_inputs(x, Z)
-    B, n, d = x.shape
-    t_samples = np.full(B, t, dtype=np.float64) if np.ndim(t) == 0 else np.asarray(t)
-    if graph_override is not None and not isinstance(graph_override[0], list):
-        graph_override = [list(graph_override)] * B
-    plan = make_plan(x, cfg, graph_override)
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 2
+    xs = x[None] if single else x
+    B, n, d = xs.shape
+    Zs, t_samples, go = batch_inputs(B, n, Z, t, graph_override)
+    plan = make_plan(xs, cfg, go)
     tape = Tape()
     pv = param_vars(tape, params)
-    xv = tape.leaf(x.reshape(B * n, d))
-    fb = build_field(tape, pv, cfg, xv, Zf, t_samples, plan,
+    xv = tape.leaf(xs.reshape(B * n, d))
+    fb = build_field(tape, pv, cfg, xv, Zs.reshape(-1), t_samples, plan,
                      detach_conditioner)
     out = fb.b.value
     if not np.all(np.isfinite(out)):
@@ -644,15 +640,8 @@ def make_field_program(params, cfg: ArchConfig, n: int, d: int, Z=None,
     the program follows kNN decision boundaries exactly like sampling does.
     """
     cfg.validate()
-    if Z is None:
-        Z = np.zeros(n, dtype=int)
-    Z = np.asarray(Z, dtype=int)
-    Zf = np.broadcast_to(Z, (batch, n)).reshape(-1) if Z.ndim == 1 else Z.reshape(-1)
-    t_samples = np.full(batch, t, dtype=np.float64) if np.ndim(t) == 0 \
-        else np.asarray(t, dtype=np.float64)
-    go = graph_override
-    if go is not None and not isinstance(go[0], list):
-        go = [list(go)] * batch
+    Zs, t_samples, go = batch_inputs(batch, n, Z, t, graph_override)
+    Zf = Zs.reshape(-1)
 
     def build(tape, x_flat):
         xs = x_flat.reshape(batch, n, d)

@@ -123,11 +123,8 @@ def _loss_tape(params, cfg, batch: CfmBatch):
     tape = ad.Tape()
     pv = net.param_vars(tape, params)
     xv = tape.const(batch.x_t.reshape(B * n, d))
-    if batch.Z is None:
-        Zf = np.zeros(B * n, dtype=int)
-    else:
-        Zf = np.broadcast_to(np.asarray(batch.Z, dtype=int), (B, n)).reshape(-1)
-    fb = net.build_field(tape, pv, cfg, xv, Zf, batch.t, plan)
+    Zs, t_samples, _ = net.batch_inputs(B, n, batch.Z, batch.t)
+    fb = net.build_field(tape, pv, cfg, xv, Zs.reshape(-1), t_samples, plan)
     diff = fb.b - tape.const(batch.u_t.reshape(B * n, d))
     loss = ad.sum_all(diff * diff) * (1.0 / B)
     return tape, pv, loss

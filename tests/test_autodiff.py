@@ -112,8 +112,7 @@ class TestVjp:
 
 class TestProbeVectors:
     def test_invariants(self):
-        ps = ad.probe_vectors(n=5, d=3)
-        vs = ps.vectors()
+        vs = ad.probe_vectors(n=5, d=3)
         assert vs.shape == (3, 15)
         assert np.all(vs.sum(axis=1) == 5)
         np.testing.assert_array_equal(vs @ vs.T, 5.0 * np.eye(3))

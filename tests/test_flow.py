@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.stats import multivariate_normal
 
 from nbflow import flow
+from nbflow import graphs as gt
 from nbflow import network as net
+from test_graphs import make_cloud
 
 
 def linear_rate(A):
@@ -140,6 +143,72 @@ class TestDivergenceModes:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             flow.divergence(self.params, self.cfg, self.x, mode="hutchinson")
+
+
+class TestFiniteDifferenceMode:
+    def setup_method(self):
+        self.cfg = net.ArchConfig(n_hidden=6, steps=2, knn_k=2,
+                                  n_types=2).validate()
+        self.params = net.init_params(self.cfg, seed=1)
+        self.x = np.random.default_rng(2).standard_normal((2, 4, 2))
+        self.Z = np.array([[0, 1, 1, 0], [1, 1, 0, 0]])
+
+    def test_per_sample_labels(self):
+        args = (self.params, self.cfg, self.x, self.Z, 0.2)
+        dh = flow.divergence(*args, mode="hollow")
+        df = flow.divergence(*args, mode="fd")
+        np.testing.assert_allclose(df, dh, rtol=0, atol=1e-6)
+        vh, rh = flow.ModelField(self.params, self.cfg, Z=self.Z,
+                                 mode="hollow").rate(self.x, 0.2)
+        vf, rf = flow.ModelField(self.params, self.cfg, Z=self.Z,
+                                 mode="fd").rate(self.x, 0.2)
+        np.testing.assert_array_equal(vf, vh)
+        np.testing.assert_allclose(rf, rh, rtol=0, atol=1e-6)
+
+    def test_per_sample_graph_override(self):
+        override = [[gt.complete_graph(4)],
+                    [gt.build_knn_graph(self.x[1], 1)]]
+        args = (self.params, self.cfg, self.x, self.Z, 0.6)
+        dh = flow.divergence(*args, mode="hollow", graph_override=override)
+        df = flow.divergence(*args, mode="fd", graph_override=override)
+        np.testing.assert_allclose(df, dh, rtol=0, atol=1e-6)
+
+    def test_sampling_reports_timings(self):
+        prior = flow.GaussianPrior(n=3, d=2)
+        run = flow.sample_with_likelihood(self.params, self.cfg, prior,
+                                          count=2, mode="fd", steps=1, seed=0)
+        assert run.rt_forward > 0 and run.rt_divergence > 0
+        assert run.reverse_passes == 0
+
+
+class TestFieldAndDivergenceProperties:
+    """Hollow divergence against the dense brute-force oracle (n*d unit
+    cotangents), both through ``field_and_divergence``."""
+
+    @given(kind=st.sampled_from(["gaussian", "lattice", "coincident"]),
+           n=st.integers(2, 12), d=st.sampled_from([2, 3]),
+           B=st.integers(1, 3), graph=st.sampled_from(["knn", "heads"]),
+           attention=st.sampled_from([None, "product", "softmax"]),
+           pairwise_diff=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_hollow_equals_brute(self, kind, n, d, B, graph, attention,
+                                 pairwise_diff, seed):
+        rng = np.random.default_rng(seed)
+        if graph == "knn":
+            shape = dict(knn_k=int(rng.integers(1, n)))
+        else:
+            H = int(rng.integers(1, 4))
+            shape = dict(heads=H, overlap=int(rng.integers(0, H)))
+        cfg = net.ArchConfig(n_hidden=5, n_types=3, attention=attention,
+                             pairwise_diff=pairwise_diff, **shape).validate()
+        params = net.init_params(cfg, seed=seed % 1000)
+        x = np.stack([make_cloud(kind, n, d, seed + s) for s in range(B)])
+        Z = rng.integers(0, 3, size=(B, n))
+        t = float(rng.random())
+        vh, dh, sh = flow.field_and_divergence(params, cfg, x, Z, t, "hollow")
+        vb, db, sb = flow.field_and_divergence(params, cfg, x, Z, t, "brute")
+        assert vh.tobytes() == vb.tobytes()
+        assert np.abs(dh - db).max() <= 1e-10
+        assert (sh["reverse_passes"], sb["reverse_passes"]) == (d, n * d)
 
 
 class TestSampleWithLikelihood:

@@ -302,6 +302,13 @@ class TestMultiheadPartition:
         assert sizes == [3, 3, 2, 2, 2]  # 12 edges over 5 heads
         assert sum(sizes) == 12
 
+    def test_more_heads_than_edges(self):
+        x = np.array([[0.0, 0.0], [1.0, 0.0]])
+        part = gt.partition_multihead(x, n_heads=3, overlap=0)
+        assert [h.n_edges for h in part.heads] == [2, 2, 0]
+        assert part.length_ranges[:2] == [(1.0, 1.0), (1.0, 1.0)]
+        assert np.isnan(part.length_ranges[2]).all()
+
     def test_heads_are_symmetrized(self):
         x = np.random.default_rng(4).standard_normal((6, 2))
         part = gt.partition_multihead(x, n_heads=3, overlap=0)

@@ -131,6 +131,17 @@ class TestForwardBasics:
         b1 = net.hollow_forward(params, cfg, x, t=0.7)
         assert np.abs(b0 - b1).max() > 1e-8
 
+    def test_misshapen_labels_rejected(self):
+        cfg = net.ArchConfig(n_hidden=4, steps=1, knn_k=2,
+                             n_types=2).validate()
+        params = net.init_params(cfg, seed=0)
+        x = np.random.default_rng(2).standard_normal((2, 4, 2))
+        with pytest.raises(ValueError, match="labels Z"):
+            net.evaluate_field(params, cfg, x, Z=np.zeros((3, 4), int))
+        with pytest.raises(ValueError, match="labels Z"):
+            net.make_field_program(params, cfg, 4, 2, Z=np.zeros(8, int),
+                                   batch=2)
+
     def test_forward_dispatch_guards(self):
         cfg = net.ArchConfig(n_hidden=4, baseline=True).validate()
         params = net.init_params(cfg, seed=0)
@@ -456,7 +467,7 @@ class TestAttention:
         nh = cfg.n_hidden
         h_s = rng.standard_normal((3, nh))
         h_v = rng.standard_normal((3, nh, 2))
-        s2, v2 = net.attention_message_step(params, cfg, h_s, h_v, lg, t=0.0)
+        s2, v2 = net.message_step(params, cfg, h_s, h_v, lg, t=0.0)
         # receiver line node is edge (2,3); senders are edges (0,2), (1,2)
         rcv = 2
         tf = np.array([[0.0, 1.0]])
@@ -474,14 +485,6 @@ class TestAttention:
         es, ev = helper._update_np(params, cfg, h_s, h_v, Ms_full, Mv_full, 0.0)
         np.testing.assert_allclose(s2, es, atol=1e-12)
         np.testing.assert_allclose(v2, ev, atol=1e-12)
-
-    def test_attention_flag_guard(self):
-        cfg = net.ArchConfig(n_hidden=4, steps=1, knn_k=2).validate()
-        params = net.init_params(cfg, seed=0)
-        g, lg = self._lg_two_senders()
-        with pytest.raises(ValueError):
-            net.attention_message_step(params, cfg, np.zeros((3, 4)),
-                                       np.zeros((3, 4, 2)), lg)
 
     @pytest.mark.parametrize("attention", ["product", "softmax"])
     def test_attention_equivariance(self, attention):
