@@ -9,9 +9,20 @@ zero.  That closure is everything the message-passing vector fields in
 this package need.
 
 The reverse pass propagates cotangents from a single output node back to
-the leaves, skipping any node that never receives a cotangent.  Detach
-therefore makes backward passes through the detached subgraph free, which
-is what makes the d-probe divergence extraction cheap.
+the ``wrt`` vars and computes nothing else.  A node is *marked* if it is a
+``wrt`` var or an operation (not a leaf, const or detach) with a marked
+parent; marks are computed once per (output, ``wrt`` set), so the d probe
+passes of a divergence share them, and only marked nodes get cotangents.
+A backward rule is ``fn(g, vals, parents, aux, want)``: ``want`` holds one
+bool per parent (is it marked?) and the rule returns ``None`` for unwanted
+parents (only multi-parent rules need to look).  Marked nodes get the same
+contributions in the same order as in an unpruned pass, so gradients are
+bitwise those of an unpruned pass.  A cotangent is dropped once its rule
+has run, unless its node is a ``wrt`` target; rules never write into
+``g``, into tape values or into a view another rule returned.  So
+detached subgraphs and weight gradients cost nothing in a pass that asks
+only for the input's, which is what makes the d-probe divergence
+extraction cheap.
 
 Pass and visit counters live on the tape so callers can assert exact
 backward-pass counts.
@@ -19,12 +30,15 @@ backward-pass counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 NORM_EPS = 1e-12  # smoothing inside sqrt so unit vectors are defined at 0
+_TERMINAL = ("leaf", "const", "detach")  # kinds that pass no cotangent on
 
 
 def _as_f64(x):
@@ -35,7 +49,7 @@ class Tape:
     """Eager record of array operations supporting vector-Jacobian products."""
 
     __slots__ = ("kinds", "parents", "aux", "vals", "n_forward_visits",
-                 "n_reverse_visits", "n_reverse_passes")
+                 "n_reverse_visits", "n_reverse_passes", "_marks")
 
     def __init__(self):
         self.kinds: list[str] = []
@@ -45,6 +59,7 @@ class Tape:
         self.n_forward_visits = 0
         self.n_reverse_visits = 0
         self.n_reverse_passes = 0
+        self._marks = None  # ((out, wrt ids), marks, wants) of the last vjp
 
     def __len__(self):
         return len(self.kinds)
@@ -78,21 +93,24 @@ class Tape:
             raise ValueError(
                 f"cotangent shape {g.shape} != output shape {self.vals[out.i].shape}")
         self.n_reverse_passes += 1
+        targets = frozenset(v.i for v in wrt)
+        marked, wants = self._mark(out.i, targets)
         grads: list = [None] * len(self.kinds)
-        grads[out.i] = g
+        if marked[out.i]:
+            grads[out.i] = g
         for i in range(out.i, -1, -1):
             gi = grads[i]
             if gi is None:
                 continue
             self.n_reverse_visits += 1
             kind = self.kinds[i]
-            if kind in ("leaf", "const", "detach"):
-                if kind == "detach":
-                    grads[i] = None  # cut: parent gets nothing
+            if kind in _TERMINAL:
                 continue
-            rule = _BACKWARD[kind]
-            contribs = rule(gi, self.vals, self.parents[i], self.aux[i])
-            for p, gp in zip(self.parents[i], contribs):
+            if i not in targets:
+                grads[i] = None
+            ps = self.parents[i]
+            contribs = _BACKWARD[kind](gi, self.vals, ps, self.aux[i], wants[i])
+            for p, gp in zip(ps, contribs):
                 if gp is None:
                     continue
                 if grads[p] is None:
@@ -106,6 +124,19 @@ class Tape:
             else:
                 result.append(grads[v.i])
         return result
+
+    def _mark(self, out: int, targets: frozenset):
+        """Which nodes up to ``out`` reach a target, and per-node ``want``."""
+        key = (out, targets)
+        if self._marks is None or self._marks[0] != key:
+            marked = [False] * (out + 1)
+            wants = [()] * (out + 1)
+            for i in range(out + 1):
+                wants[i] = tuple(marked[p] for p in self.parents[i])
+                marked[i] = i in targets or (
+                    self.kinds[i] not in _TERMINAL and any(wants[i]))
+            self._marks = (key, marked, wants)
+        return self._marks[1], self._marks[2]
 
 
 @dataclass(frozen=True)
@@ -173,21 +204,46 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # operations
 # ---------------------------------------------------------------------------
 
-def matmul(a: Var, b: Var) -> Var:
-    return a.tape._push("matmul", (a.i, b.i), None, a.value @ b.value)
+class _Scatter:
+    """Sums the rows k of ``a`` into segment ``idx[k]`` of ``n``.
+
+    It multiplies by a (segments x rows) CSR matrix of ones, built on first
+    use and kept for every later pass.  Each matrix row lists its columns in
+    ascending order, so each segment adds its rows onto zero in
+    ``np.add.at``'s order: bitwise the ``np.zeros`` + ``np.add.at`` sums.
+    """
+
+    __slots__ = ("idx", "n", "_m")
+
+    def __init__(self, idx: np.ndarray, n: int):
+        self.idx, self.n, self._m = idx, n, None
+
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        if self._m is None:
+            k = len(self.idx)
+            self._m = csr_matrix((np.ones(k), (self.idx, np.arange(k))),
+                                 shape=(self.n, k))
+        rows = a.reshape(len(a), math.prod(a.shape[1:]))
+        return (self._m @ rows).reshape((self.n,) + a.shape[1:])
+
+
+def affine(x: Var, W: Var, b: Var) -> Var:
+    """x @ W + b as one node; the product alone is never stored."""
+    v = x.value @ W.value
+    v += b.value
+    return x.tape._push("affine", (x.i, W.i, b.i), None, v)
 
 
 def gather(a: Var, idx: np.ndarray) -> Var:
     idx = np.asarray(idx, dtype=np.intp)
-    return a.tape._push("gather", (a.i,), idx, a.value[idx])
+    return a.tape._push("gather", (a.i,), _Scatter(idx, len(a.value)),
+                        a.value[idx])
 
 
 def segment_sum(a: Var, seg: np.ndarray, num_segments: int) -> Var:
     """Sum rows of ``a`` into ``num_segments`` buckets; empty buckets are 0."""
-    seg = np.asarray(seg, dtype=np.intp)
-    out = np.zeros((num_segments,) + a.value.shape[1:])
-    np.add.at(out, seg, a.value)
-    return a.tape._push("segsum", (a.i,), seg, out)
+    sc = _Scatter(np.asarray(seg, dtype=np.intp), num_segments)
+    return a.tape._push("segsum", (a.i,), sc, sc(a.value))
 
 
 def concat(vs: list[Var], axis: int = 1) -> Var:
@@ -202,12 +258,14 @@ def slice_cols(a: Var, j0: int, j1: int) -> Var:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # evaluate exp on negative magnitudes only so it never overflows
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
+    # 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below: exp only ever sees
+    # -|x|, so it never overflows
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -291,104 +349,107 @@ def reshape(a: Var, shape) -> Var:
                         a.value.reshape(shape))
 
 
-# backward rules: fn(g, vals, parents, aux) -> per-parent gradients
+# backward rules: fn(g, vals, parents, aux, want) -> per-parent gradients,
+# None for a parent whose ``want`` is False (see the module docstring)
 
-def _bw_add(g, vals, ps, aux):
-    return (_unbroadcast(g, vals[ps[0]].shape),
-            _unbroadcast(g, vals[ps[1]].shape))
-
-
-def _bw_sub(g, vals, ps, aux):
-    return (_unbroadcast(g, vals[ps[0]].shape),
-            _unbroadcast(-g, vals[ps[1]].shape))
+def _bw_add(g, vals, ps, aux, want):
+    return (_unbroadcast(g, vals[ps[0]].shape) if want[0] else None,
+            _unbroadcast(g, vals[ps[1]].shape) if want[1] else None)
 
 
-def _bw_mul(g, vals, ps, aux):
+def _bw_sub(g, vals, ps, aux, want):
+    return (_unbroadcast(g, vals[ps[0]].shape) if want[0] else None,
+            _unbroadcast(-g, vals[ps[1]].shape) if want[1] else None)
+
+
+def _bw_mul(g, vals, ps, aux, want):
     a, b = vals[ps[0]], vals[ps[1]]
-    return (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape))
+    return (_unbroadcast(g * b, a.shape) if want[0] else None,
+            _unbroadcast(g * a, b.shape) if want[1] else None)
 
 
-def _bw_div(g, vals, ps, aux):
+def _bw_div(g, vals, ps, aux, want):
     a, b = vals[ps[0]], vals[ps[1]]
-    return (_unbroadcast(g / b, a.shape),
-            _unbroadcast(-g * a / (b * b), b.shape))
+    return (_unbroadcast(g / b, a.shape) if want[0] else None,
+            _unbroadcast(-g * a / (b * b), b.shape) if want[1] else None)
 
 
-def _bw_smul(g, vals, ps, aux):
+def _bw_smul(g, vals, ps, aux, want):
     return (g * aux,)
 
 
-def _bw_matmul(g, vals, ps, aux):
-    a, b = vals[ps[0]], vals[ps[1]]
-    return (g @ b.T, a.T @ g)
+def _bw_affine(g, vals, ps, aux, want):
+    x, W, b = (vals[p] for p in ps)
+    return (g @ W.T if want[0] else None, x.T @ g if want[1] else None,
+            _unbroadcast(g, b.shape) if want[2] else None)
 
 
-def _bw_gather(g, vals, ps, idx):
-    out = np.zeros_like(vals[ps[0]])
-    np.add.at(out, idx, g)
-    return (out,)
+def _bw_gather(g, vals, ps, sc, want):
+    return (sc(g),)
 
 
-def _bw_segsum(g, vals, ps, seg):
-    return (g[seg],)
+def _bw_segsum(g, vals, ps, sc, want):
+    return (g[sc.idx],)
 
 
-def _bw_concat(g, vals, ps, aux):
+def _bw_concat(g, vals, ps, aux, want):
     axis, sizes = aux
-    outs = []
-    off = 0
-    for s in sizes:
-        sl = [slice(None)] * g.ndim
-        sl[axis] = slice(off, off + s)
-        outs.append(g[tuple(sl)])
-        off += s
-    return tuple(outs)
+    parts = np.split(g, np.cumsum(sizes)[:-1], axis=axis)  # views of g
+    return tuple(gp if w else None for gp, w in zip(parts, want))
 
 
-def _bw_slice(g, vals, ps, aux):
+def _bw_slice(g, vals, ps, aux, want):
     j0, j1 = aux
     out = np.zeros_like(vals[ps[0]])
     out[:, j0:j1] = g
     return (out,)
 
 
-def _bw_silu(g, vals, ps, s):
-    x = vals[ps[0]]
-    return (g * (s * (1.0 + x * (1.0 - s))),)
+def _bw_silu(g, vals, ps, s, want):
+    # g * (s * (1 + x * (1 - s))) on one temporary
+    t = 1.0 - s
+    t *= vals[ps[0]]
+    t += 1.0
+    t *= s
+    t *= g
+    return (t,)
 
 
-def _bw_snorm(g, vals, ps, v):
+def _bw_snorm(g, vals, ps, v, want):
     return (g * vals[ps[0]] / v,)
 
 
-def _bw_cnorm(g, vals, ps, v):
+def _bw_cnorm(g, vals, ps, v, want):
     return (g[..., None] * vals[ps[0]] / v[..., None],)
 
 
-def _bw_dotl(g, vals, ps, aux):
+def _bw_dotl(g, vals, ps, aux, want):
     a, b = vals[ps[0]], vals[ps[1]]
-    return (g[..., None] * b, g[..., None] * a)
+    return (g[..., None] * b if want[0] else None,
+            g[..., None] * a if want[1] else None)
 
 
-def _bw_scalec(g, vals, ps, aux):
+def _bw_scalec(g, vals, ps, aux, want):
     v, s = vals[ps[0]], vals[ps[1]]
-    return (g * s[..., None], _unbroadcast(np.sum(g * v, axis=-1), s.shape))
+    return (g * s[..., None] if want[0] else None,
+            _unbroadcast(np.sum(g * v, axis=-1), s.shape) if want[1] else None)
 
 
-def _bw_outer(g, vals, ps, aux):
+def _bw_outer(g, vals, ps, aux, want):
     s, u = vals[ps[0]], vals[ps[1]]
-    return (np.sum(g * u[:, None, :], axis=-1), np.sum(g * s[:, :, None], axis=1))
+    return (np.sum(g * u[:, None, :], axis=-1) if want[0] else None,
+            np.sum(g * s[:, :, None], axis=1) if want[1] else None)
 
 
-def _bw_sumc(g, vals, ps, shape):
+def _bw_sumc(g, vals, ps, shape, want):
     return (np.broadcast_to(g[:, None, :], shape).copy(),)
 
 
-def _bw_suma(g, vals, ps, shape):
+def _bw_suma(g, vals, ps, shape, want):
     return (np.full(shape, float(g)),)
 
 
-def _bw_rbf(g, vals, ps, aux):
+def _bw_rbf(g, vals, ps, aux, want):
     centers, gamma = aux
     r = vals[ps[0]]
     val = np.exp(-gamma * (r - centers) ** 2)
@@ -396,7 +457,7 @@ def _bw_rbf(g, vals, ps, aux):
                    axis=1, keepdims=True),)
 
 
-def _bw_segsoft(g, vals, ps, aux):
+def _bw_segsoft(g, vals, ps, aux, want):
     seg, nseg = aux
     # alpha is this node's own value; recompute from parent for locality
     col = vals[ps[0]][:, 0]
@@ -412,13 +473,13 @@ def _bw_segsoft(g, vals, ps, aux):
     return ((ga - a * dots[seg])[:, None],)
 
 
-def _bw_reshape(g, vals, ps, orig_shape):
+def _bw_reshape(g, vals, ps, orig_shape, want):
     return (g.reshape(orig_shape),)
 
 
 _BACKWARD: dict[str, Callable] = {
     "add": _bw_add, "sub": _bw_sub, "mul": _bw_mul, "div": _bw_div,
-    "smul": _bw_smul, "matmul": _bw_matmul, "gather": _bw_gather,
+    "smul": _bw_smul, "affine": _bw_affine, "gather": _bw_gather,
     "segsum": _bw_segsum, "concat": _bw_concat, "slice": _bw_slice,
     "silu": _bw_silu, "snorm": _bw_snorm, "cnorm": _bw_cnorm,
     "dotl": _bw_dotl, "scalec": _bw_scalec, "outer": _bw_outer,

@@ -35,8 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import (Tape, Var, concat, detach, dot_last, gather,
-                       gauss_rbf, matmul, outer_rows, scale_channels,
+from .autodiff import (Tape, Var, affine, concat, detach, dot_last, gather,
+                       gauss_rbf, outer_rows, scale_channels,
                        segment_softmax, segment_sum, silu, slice_cols,
                        smooth_norm, channel_norm, sum_channels)
 from . import graphs as gt
@@ -105,6 +105,8 @@ class ArchConfig:
         if self.baseline:
             if self.heads is not None:
                 raise ValueError("baseline does not support head partitions")
+            if self.attention is not None:
+                raise ValueError("baseline does not support attention")
         else:
             if (self.knn_k is None) == (self.heads is None):
                 raise ValueError("set exactly one of knn_k and heads")
@@ -158,15 +160,14 @@ def param_shapes(cfg: ArchConfig) -> list[tuple[str, tuple]]:
               ("embed.Wg", (nh, nh)), ("embed.bg", (nh,))]
     if cfg.pairwise_diff:
         shapes += _fmap_shapes(nh, "init_phi") + _fmap_shapes(nh, "init_psi")
-    if cfg.attention is None or cfg.baseline:
+    if cfg.attention is None:
         shapes += _mlp_shapes(3 * nh + nt, nh, 3 * nh, "msg")
-    if not cfg.baseline:
-        if cfg.attention == "product":
-            shapes += _mlp_shapes(3 * nh + nt, nh, 1, "att")
-            shapes += _fmap_shapes(nh, "vfeat")
-        elif cfg.attention == "softmax":
-            shapes += _mlp_shapes(3 * nh + nt, nh, 1, "att")
-            shapes += _mlp_shapes(nh + nt, nh, 2 * nh, "attval")
+    elif cfg.attention == "product":
+        shapes += _mlp_shapes(3 * nh + nt, nh, 1, "att")
+        shapes += _fmap_shapes(nh, "vfeat")
+    else:
+        shapes += _mlp_shapes(3 * nh + nt, nh, 1, "att")
+        shapes += _mlp_shapes(nh + nt, nh, 2 * nh, "attval")
     shapes += _mlp_shapes(3 * nh + nt, nh, 2 * nh, "upd")
     shapes += _mlp_shapes(3 * nh + nt, nh, 2 * nh, "read")
     return shapes
@@ -327,15 +328,15 @@ def make_plan(xs: np.ndarray, cfg: ArchConfig,
 # ---------------------------------------------------------------------------
 
 def _mlp(pv, name, x: Var) -> Var:
-    h = silu(matmul(x, pv[f"{name}.W1"]) + pv[f"{name}.b1"])
-    return matmul(h, pv[f"{name}.Wo"]) + pv[f"{name}.bo"]
+    h = silu(affine(x, pv[f"{name}.W1"], pv[f"{name}.b1"]))
+    return affine(h, pv[f"{name}.Wo"], pv[f"{name}.bo"])
 
 
 def _feature_map(pv, name, s: Var, v: Var) -> tuple[Var, Var]:
     f = concat([s, channel_norm(v)])
-    h = silu(matmul(f, pv[f"{name}.W1"]) + pv[f"{name}.b1"])
-    s2 = matmul(h, pv[f"{name}.Ws"]) + pv[f"{name}.bs"]
-    g = matmul(h, pv[f"{name}.Wg"]) + pv[f"{name}.bg"]
+    h = silu(affine(f, pv[f"{name}.W1"], pv[f"{name}.b1"]))
+    s2 = affine(h, pv[f"{name}.Ws"], pv[f"{name}.bs"])
+    g = affine(h, pv[f"{name}.Wg"], pv[f"{name}.bg"])
     return s2, scale_channels(v, g)
 
 
@@ -357,9 +358,9 @@ def _embed(tape, pv, cfg: ArchConfig, delta: Var, z_rows: np.ndarray,
         uoh = np.zeros((len(z_rows), cfg.unique_nodes))
         uoh[np.arange(len(local_ids)), np.asarray(local_ids, dtype=int)] = 1.0
         feats.append(tape.const(uoh))
-    h = silu(matmul(concat(feats), pv["embed.W1"]) + pv["embed.b1"])
-    s = matmul(h, pv["embed.W2"]) + pv["embed.b2"]
-    g = matmul(s, pv["embed.Wg"]) + pv["embed.bg"]
+    h = silu(affine(concat(feats), pv["embed.W1"], pv["embed.b1"]))
+    s = affine(h, pv["embed.W2"], pv["embed.b2"])
+    g = affine(s, pv["embed.Wg"], pv["embed.bg"])
     return s, outer_rows(g, unit)
 
 
@@ -369,10 +370,12 @@ def _split3(z: Var, nh: int):
 
 
 def _message_rows(tape, pv, cfg, hs, hv, t_from, t_to, tf_rows):
-    """Messages for the active line-graph edges of one step.
+    """Messages along the (t_from -> t_to) pairs of one step.
 
-    Returns (m_s, m_v) rows aligned with the active triples; the caller
-    aggregates them into receivers by segment sum.
+    The pairs are the active line-graph triples of the hollow field, or
+    the base-graph edges (src -> dst) of a baseline.  Returns (m_s, m_v)
+    rows aligned with the pairs; the caller aggregates them into receivers
+    by segment sum.
     """
     nh = cfg.n_hidden
     s_ij, v_ij = gather(hs, t_to), gather(hv, t_to)
@@ -510,7 +513,6 @@ def build_field(tape: Tape, pv: dict[str, Var], cfg: ArchConfig, x: Var,
 
 def _build_baseline(tape, pv, cfg, x, Z, plan, tf_node, local_id):
     """Standard message passing on the base graph; no hollow structure."""
-    nh = cfg.n_hidden
     N = plan.n_total
     hp = plan.heads[0]
     tf_edge = tf_node[hp.dst]
@@ -527,12 +529,7 @@ def _build_baseline(tape, pv, cfg, x, Z, plan, tf_node, local_id):
     n_s, n_v = hs, hv
     h_steps = [(hs, hv)]
     for _ in range(cfg.steps):
-        s_i, v_i = gather(hs, hp.dst), gather(hv, hp.dst)
-        s_j, v_j = gather(hs, hp.src), gather(hv, hp.src)
-        pair = concat([s_i, s_j, dot_last(v_i, v_j), tape.const(tf_edge)])
-        z = _mlp(pv, "msg", pair)
-        m_s, g1, g2 = _split3(z, nh)
-        m_v = scale_channels(v_j, g1) + scale_channels(v_i, g2)
+        m_s, m_v = _message_rows(tape, pv, cfg, hs, hv, hp.src, hp.dst, tf_edge)
         M_s = segment_sum(m_s, hp.dst, N)
         M_v = segment_sum(m_v, hp.dst, N)
         hs, hv = _update(tape, pv, cfg, hs, hv, M_s, M_v, tf_node)

@@ -261,6 +261,7 @@ class TestCriterion5EdgeCountLaws:
                f"kNN(k=4) line-edge slope {slope:.3f} (need 1.0 +/- 0.2)")
 
 
+@pytest.mark.timing
 class TestCriterion6RuntimeTrends:
     def test_scaling_and_speedup(self):
         rng = np.random.default_rng(19)

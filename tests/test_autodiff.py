@@ -77,7 +77,7 @@ class TestVjp:
 
         def build(tape, x):
             xv = tape.leaf(x.reshape(1, 3))
-            return xv, ad.matmul(xv, tape.const(A.T))
+            return xv, ad.affine(xv, tape.const(A.T), tape.const(np.zeros(3)))
         prog = ad.Program(build, n_in=3)
         ad.forward_eval(prog, np.ones(3))
         g = ad.vjp(prog, np.array([[1.0, 0.0, 0.0]]))
@@ -99,6 +99,15 @@ class TestVjp:
             lhs = ad.vjp(prog, u + w)
             rhs = ad.vjp(prog, u) + ad.vjp(prog, w)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+    def test_interior_wrt_keeps_its_cotangent(self):
+        tape = ad.Tape()
+        x = tape.leaf(np.array([1.0, 2.0]))
+        y = x * x
+        out = ad.sum_all(y * 3.0)
+        gy, gx = tape.vjp(out, np.asarray(1.0), [y, x])
+        np.testing.assert_array_equal(gy, [3.0, 3.0])
+        np.testing.assert_array_equal(gx, [6.0, 12.0])
 
     def test_reverse_visits_bounded_by_forward(self):
         prog, _ = random_hollow_program(6, 2, seed=2)
@@ -204,9 +213,16 @@ class TestOpGradients:
         J = ad.full_jacobian_fd(run, x0.reshape(-1))
         np.testing.assert_allclose(g.reshape(-1), u @ J, atol=atol)
 
-    def test_matmul(self):
+    def test_affine(self):
         W = np.random.default_rng(1).standard_normal((3, 4))
-        self._check(lambda t, x: ad.matmul(x, t.const(W)), (5, 3))
+        self._check(lambda t, x: ad.affine(x, t.const(W), t.const(np.zeros(4))),
+                    (5, 3))
+
+    def test_affine_weight_and_bias(self):
+        rng = np.random.default_rng(2)
+        X, W, b = (rng.standard_normal(s) for s in ((5, 3), (3, 4), (4,)))
+        self._check(lambda t, w: ad.affine(t.const(X), w, t.const(b)), (3, 4))
+        self._check(lambda t, c: ad.affine(t.const(X), t.const(W), c), (4,))
 
     def test_silu(self):
         self._check(lambda t, x: ad.silu(x), (4, 3))
@@ -289,3 +305,146 @@ class TestDetachValueInvariance:
             out1 = ad.forward_eval(p1, x)
             out2 = ad.forward_eval(p2, x)
             np.testing.assert_array_equal(out1, out2)
+
+
+# multi-parent ops on fresh leaves: the rules that must honour ``want``
+MULTI_PARENT = {
+    "add": lambda t, r: t.leaf(r((4, 3))) + t.leaf(r((3,))),
+    "sub": lambda t, r: t.leaf(r((4, 3))) - t.leaf(r((3,))),
+    "mul": lambda t, r: t.leaf(r((4, 3))) * t.leaf(r((4, 1))),
+    "div": lambda t, r: t.leaf(r((4, 3))) / t.leaf(np.abs(r((3,))) + 1.0),
+    "affine": lambda t, r: ad.affine(t.leaf(r((4, 3))), t.leaf(r((3, 2))),
+                                     t.leaf(r((2,)))),
+    "dotl": lambda t, r: ad.dot_last(t.leaf(r((4, 2, 3))), t.leaf(r((4, 2, 3)))),
+    "scalec": lambda t, r: ad.scale_channels(t.leaf(r((4, 2, 3))),
+                                             t.leaf(r((4, 2)))),
+    "outer": lambda t, r: ad.outer_rows(t.leaf(r((4, 2))), t.leaf(r((4, 3)))),
+    "concat": lambda t, r: ad.concat([t.leaf(r((4, 2))), t.leaf(r((4, 3))),
+                                      t.leaf(r((4, 1)))]),
+}
+
+
+class TestPrunedReversePass:
+    @pytest.mark.parametrize("kind", sorted(MULTI_PARENT))
+    def test_unwanted_parent_gets_none(self, kind):
+        rng = np.random.default_rng(0)
+        tape = ad.Tape()
+        out = MULTI_PARENT[kind](tape, rng.standard_normal)
+        assert tape.kinds[out.i] == kind
+        ps = tape.parents[out.i]
+        g = rng.standard_normal(out.shape)
+        rule = ad._BACKWARD[kind]
+        full = rule(g, tape.vals, ps, tape.aux[out.i], (True,) * len(ps))
+        for j in range(len(ps)):
+            want = tuple(k != j for k in range(len(ps)))
+            part = rule(g, tape.vals, ps, tape.aux[out.i], want)
+            assert part[j] is None
+            for k in range(len(ps)):
+                if k != j:
+                    assert part[k].tobytes() == full[k].tobytes()
+
+    def test_every_multi_parent_kind_is_covered(self):
+        kinds = set()
+        for cfg_kw in (dict(knn_k=3, attention="softmax", pairwise_diff=True),
+                       dict(heads=2, attention="product"),
+                       dict(knn_k=3, baseline=True, pairwise_diff=True)):
+            cfg = net.ArchConfig(n_hidden=4, steps=2, **cfg_kw).validate()
+            prog = net.make_field_program(net.init_params(cfg), cfg, 6, 2)
+            ad.forward_eval(prog, np.random.default_rng(1).standard_normal(12))
+            tape = prog.tape
+            kinds |= {tape.kinds[i] for i in range(len(tape))
+                      if len(tape.parents[i]) > 1}
+        assert kinds == set(MULTI_PARENT)
+
+    def test_probe_pass_visits_only_nodes_reaching_x(self, monkeypatch):
+        cfg = net.ArchConfig(n_hidden=6, steps=2, knn_k=3,
+                             pairwise_diff=True).validate()
+        prog = net.make_field_program(net.init_params(cfg, seed=3), cfg, 6, 2,
+                                      detach_conditioner=True)
+        ad.forward_eval(prog, np.random.default_rng(4).standard_normal(12))
+        tape = prog.tape
+        kinds, parents = tape.kinds, tape.parents
+        out, x = prog.out_var.i, prog.in_var.i
+        terminal = ("leaf", "const", "detach")
+        # oracles: paths from x that avoid detach, and the nodes an
+        # unpruned pass reaches from the output
+        from_x = [False] * len(tape)
+        for i in range(len(tape)):
+            from_x[i] = i == x or (kinds[i] not in terminal
+                                   and any(from_x[p] for p in parents[i]))
+        unpruned = {out}
+        for i in range(out, -1, -1):
+            if i in unpruned and kinds[i] not in terminal:
+                unpruned.update(parents[i])
+        node_of = {id(ps): i for i, ps in enumerate(parents)}
+        ran = []
+        for kind, rule in list(ad._BACKWARD.items()):
+            def spy(g, vals, ps, aux, want, _rule=rule):
+                ran.append(node_of[id(ps)])
+                return _rule(g, vals, ps, aux, want)
+            monkeypatch.setitem(ad._BACKWARD, kind, spy)
+        for probe in ad.probe_vectors(6, 2):
+            before, ran[:] = tape.n_reverse_visits, []
+            ad.vjp(prog, probe)
+            visits = tape.n_reverse_visits - before
+            assert all(from_x[i] for i in ran)
+            assert set(ran) | {x} == {i for i in unpruned if from_x[i]}
+            assert visits == len(ran) + 1  # the rules' nodes and x itself
+            assert visits < len(unpruned)
+
+
+def two_branch_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+class TestKernels:
+    """The tape's kernels against the plain numpy they replace, bitwise."""
+
+    @pytest.mark.parametrize("row_shape", [(), (3,), (4, 3)])
+    @pytest.mark.parametrize("idx,n_seg", [
+        ([2, 0, 2, 1, 0, 2], 4),   # repeated, unsorted, segment 3 empty
+        ([1, 1, 1], 3),
+        ([], 3),                   # zero rows
+        ([], 0),
+        (np.random.default_rng(5).integers(0, 40, 300), 50),
+    ])
+    def test_scatter_adds_match_add_at(self, idx, n_seg, row_shape):
+        rng = np.random.default_rng(6)
+        idx = np.asarray(idx, dtype=np.intp)
+        rows = rng.standard_normal((len(idx),) + row_shape)
+        rows.reshape(-1)[::4] = -0.0
+        ref = np.zeros((n_seg,) + row_shape)
+        np.add.at(ref, idx, rows)
+        tape = ad.Tape()
+        summed = ad.segment_sum(tape.leaf(rows), idx, n_seg).value
+        assert summed.shape == ref.shape and summed.tobytes() == ref.tobytes()
+        # gather's backward scatters the cotangent rows the same way
+        src = tape.leaf(rng.standard_normal((n_seg,) + row_shape))
+        gathered = ad.gather(src, idx)
+        (g,) = tape.vjp(gathered, rows, [src])
+        assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
+
+    def test_sigmoid_matches_two_branch_formula(self):
+        rng = np.random.default_rng(7)
+        special = [0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, 800.0, -800.0,
+                   np.nan]
+        x = np.concatenate([special, rng.standard_normal(500) * 30,
+                            rng.uniform(-700, 700, 500)])
+        s, ref = ad._sigmoid(x), two_branch_sigmoid(x)
+        nan = np.isnan(ref)
+        np.testing.assert_array_equal(np.isnan(s), nan)
+        assert s[~nan].tobytes() == ref[~nan].tobytes()
+
+    def test_silu_backward_matches_formula(self):
+        rng = np.random.default_rng(8)
+        x = np.concatenate([[0.0, -0.0, 700.0, -700.0, 800.0, -800.0],
+                            rng.standard_normal(500) * 30])
+        g = rng.standard_normal(x.shape)
+        s = ad._sigmoid(x)
+        (got,) = ad._BACKWARD["silu"](g, [x], (0,), s, (True,))
+        assert got.tobytes() == (g * (s * (1.0 + x * (1.0 - s)))).tobytes()

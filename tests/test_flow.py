@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.stats import multivariate_normal
 
+from nbflow import autodiff as ad
 from nbflow import flow
 from nbflow import graphs as gt
 from nbflow import network as net
+from nbflow import training
 from test_graphs import make_cloud
 
 
@@ -181,34 +183,82 @@ class TestFiniteDifferenceMode:
         assert run.reverse_passes == 0
 
 
+# random hollow fields: clouds with ties and duplicates, kNN or head graphs
+FIELD_CASES = dict(
+    kind=st.sampled_from(["gaussian", "lattice", "coincident"]),
+    n=st.integers(2, 12), d=st.sampled_from([2, 3]), B=st.integers(1, 3),
+    graph=st.sampled_from(["knn", "heads"]),
+    attention=st.sampled_from([None, "product", "softmax"]),
+    pairwise_diff=st.booleans(), seed=st.integers(0, 2**32 - 1))
+
+
+def random_field(kind, n, d, B, graph, attention, pairwise_diff, seed):
+    """(cfg, params, x, Z, t, rng) for one FIELD_CASES example."""
+    rng = np.random.default_rng(seed)
+    if graph == "knn":
+        shape = dict(knn_k=int(rng.integers(1, n)))
+    else:
+        H = int(rng.integers(1, 4))
+        shape = dict(heads=H, overlap=int(rng.integers(0, H)))
+    cfg = net.ArchConfig(n_hidden=5, n_types=3, attention=attention,
+                         pairwise_diff=pairwise_diff, **shape).validate()
+    params = net.init_params(cfg, seed=seed % 1000)
+    x = np.stack([make_cloud(kind, n, d, seed + s) for s in range(B)])
+    Z = rng.integers(0, 3, size=(B, n))
+    return cfg, params, x, Z, float(rng.random()), rng
+
+
 class TestFieldAndDivergenceProperties:
     """Hollow divergence against the dense brute-force oracle (n*d unit
     cotangents), both through ``field_and_divergence``."""
 
-    @given(kind=st.sampled_from(["gaussian", "lattice", "coincident"]),
-           n=st.integers(2, 12), d=st.sampled_from([2, 3]),
-           B=st.integers(1, 3), graph=st.sampled_from(["knn", "heads"]),
-           attention=st.sampled_from([None, "product", "softmax"]),
-           pairwise_diff=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_hollow_equals_brute(self, kind, n, d, B, graph, attention,
-                                 pairwise_diff, seed):
-        rng = np.random.default_rng(seed)
-        if graph == "knn":
-            shape = dict(knn_k=int(rng.integers(1, n)))
-        else:
-            H = int(rng.integers(1, 4))
-            shape = dict(heads=H, overlap=int(rng.integers(0, H)))
-        cfg = net.ArchConfig(n_hidden=5, n_types=3, attention=attention,
-                             pairwise_diff=pairwise_diff, **shape).validate()
-        params = net.init_params(cfg, seed=seed % 1000)
-        x = np.stack([make_cloud(kind, n, d, seed + s) for s in range(B)])
-        Z = rng.integers(0, 3, size=(B, n))
-        t = float(rng.random())
+    @given(**FIELD_CASES)
+    def test_hollow_equals_brute(self, **case):
+        cfg, params, x, Z, t, _ = random_field(**case)
+        n, d = x.shape[1:]
         vh, dh, sh = flow.field_and_divergence(params, cfg, x, Z, t, "hollow")
         vb, db, sb = flow.field_and_divergence(params, cfg, x, Z, t, "brute")
         assert vh.tobytes() == vb.tobytes()
         assert np.abs(dh - db).max() <= 1e-10
         assert (sh["reverse_passes"], sb["reverse_passes"]) == (d, n * d)
+
+
+class TestPrunedReversePassProperties:
+    """A reverse pass that computes only what reaches ``wrt`` against the
+    same tape's pass over every leaf, which is the oracle."""
+
+    @given(**FIELD_CASES)
+    def test_input_gradient_alone_equals_full_pass(self, **case):
+        cfg, params, x, Z, t, rng = random_field(**case)
+        B, n, d = x.shape
+        for detach in (False, True):
+            prog = net.make_field_program(params, cfg, n, d, Z=Z, t=t, batch=B,
+                                          detach_conditioner=detach)
+            ad.forward_eval(prog, x.reshape(-1))
+            tape, out, xin = prog.tape, prog.out_var, prog.in_var
+            leaves = [ad.Var(tape, i) for i, kind in enumerate(tape.kinds)
+                      if kind == "leaf" and i != xin.i]
+            u = rng.standard_normal(out.shape)
+            (alone,) = tape.vjp(out, u, [xin])
+            full = tape.vjp(out, u, [xin, *leaves])
+            assert alone.tobytes() == full[0].tobytes()
+
+    @given(**FIELD_CASES)
+    def test_cfm_gradients_do_not_depend_on_requesting_x(self, **case):
+        cfg, params, x, Z, t, rng = random_field(**case)
+        B = len(x)
+        batch = training.make_cfm_batch(rng.standard_normal(x.shape), x,
+                                        rng.random(B), 0.01, rng=rng, Z=Z)
+        _, grads = training.cfm_loss_and_grad(params, cfg, batch)
+        tape, pv, loss = training._loss_tape(params, cfg, batch)
+        x_t = ad.Var(tape, len(pv))  # the const after the parameter leaves
+        assert tape.kinds[x_t.i] == "const"
+        np.testing.assert_array_equal(x_t.value, batch.x_t.reshape(-1, x.shape[2]))
+        (x_only,) = tape.vjp(loss, np.asarray(1.0), [x_t])
+        with_x = tape.vjp(loss, np.asarray(1.0), [*pv.values(), x_t])
+        assert x_only.tobytes() == with_x[-1].tobytes() and np.any(x_only)
+        for name, g in zip(pv, with_x):
+            assert g.tobytes() == grads[name].tobytes()
 
 
 class TestSampleWithLikelihood:

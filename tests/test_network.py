@@ -11,10 +11,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nbflow import autodiff as ad
 from nbflow import graphs as gt
 from nbflow import network as net
+from test_graphs import make_cloud
 
 
 def build_with_tape(params, cfg, x, t=0.0, Z=None, graph_override=None,
@@ -303,6 +305,43 @@ class TestConditionerIndependence:
             if np.abs(grad[g.dst[ln]]).max() > 0:
                 leaks += 1
         assert leaks > 0
+
+
+class TestHollowInvariantProperties:
+    """Every line feature h_ij in ``h_steps`` has zero gradient in x_j, on
+    random kNN and head graphs, read by reverse passes from the interior
+    feature nodes to the position leaf."""
+
+    @given(kind=st.sampled_from(["gaussian", "lattice", "coincident", "near"]),
+           n=st.integers(2, 9), d=st.sampled_from([2, 3]),
+           B=st.integers(1, 2), graph=st.sampled_from(["knn", "heads"]),
+           steps=st.integers(1, 3), pairwise_diff=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_line_features_ignore_their_target(self, kind, n, d, B, graph,
+                                               steps, pairwise_diff, seed):
+        rng = np.random.default_rng(seed)
+        if graph == "knn":
+            shape = dict(knn_k=int(rng.integers(1, n)))
+        else:
+            H = int(rng.integers(1, 4))
+            shape = dict(heads=H, overlap=int(rng.integers(0, H)))
+        cfg = net.ArchConfig(n_hidden=4, steps=steps,
+                             pairwise_diff=pairwise_diff, **shape).validate()
+        params = net.init_params(cfg, seed=seed % 1000)
+        cloud = "coincident" if kind == "near" else kind
+        x = np.stack([make_cloud(cloud, n, d, seed + s) for s in range(B)])
+        if kind == "near":
+            x += 1e-9 * rng.standard_normal(x.shape)
+        fb, xv = build_with_tape(params, cfg, x, t=0.4)
+        plan = net.make_plan(x, cfg)
+        for hp, h_steps in zip(plan.heads, fb.h_steps):
+            for feature in (var for pair in h_steps for var in pair):
+                for j in np.unique(hp.dst):
+                    u = np.zeros(feature.shape)
+                    rows = hp.dst == j
+                    u[rows] = rng.standard_normal(u[rows].shape)
+                    (g,) = fb.tape.vjp(feature, u, [xv])
+                    assert not np.any(g[j]), f"a feature of an edge into {j}"
 
 
 class TestBacktrackTableAgainstGradients:
@@ -621,6 +660,12 @@ class TestConfigValidation:
     def test_unknown_attention(self):
         with pytest.raises(ValueError):
             net.ArchConfig(knn_k=2, attention="multihead").validate()
+
+    @pytest.mark.parametrize("attention", ["product", "softmax"])
+    def test_baseline_rejects_attention(self, attention):
+        with pytest.raises(ValueError, match="attention"):
+            net.ArchConfig(n_hidden=4, baseline=True,
+                           attention=attention).validate()
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="n_layres"):
