@@ -24,6 +24,14 @@ detached subgraphs and weight gradients cost nothing in a pass that asks
 only for the input's, which is what makes the d-probe divergence
 extraction cheap.
 
+Equivariant features are (R, d, C): rows, coordinates, channels.  So
+scalar gates broadcast as ``s[:, None, :]`` over contiguous channels, and a
+sum over d adds d contiguous (R, C) slabs.  Sums take the order that
+``np.sum`` takes on the same data laid out (R, C, d), bit for bit (the
+tests check it): over d, slabs add onto +0.0 in index order (its order on
+a short trailing axis); over C, channels add one by one in index order
+(its order on a strided axis), not pairwise.
+
 Pass and visit counters live on the tape so callers can assert exact
 backward-pass counts.
 """
@@ -205,24 +213,26 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _Scatter:
-    """Sums the rows k of ``a`` into segment ``idx[k]`` of ``n``.
+    """Sums the rows ``cols[k]`` (default k) of ``a`` into segment ``idx[k]``.
 
     It multiplies by a (segments x rows) CSR matrix of ones, built on first
     use and kept for every later pass.  Each matrix row lists its columns in
-    ascending order, so each segment adds its rows onto zero in
-    ``np.add.at``'s order: bitwise the ``np.zeros`` + ``np.add.at`` sums.
+    k order, so each segment adds its rows onto zero in ``np.add.at``'s
+    order: bitwise the ``np.zeros`` + ``np.add.at`` sums of ``a[cols]``.
     """
 
-    __slots__ = ("idx", "n", "_m")
+    __slots__ = ("idx", "n", "cols", "_m")
 
-    def __init__(self, idx: np.ndarray, n: int):
-        self.idx, self.n, self._m = idx, n, None
+    def __init__(self, idx: np.ndarray, n: int, cols: np.ndarray | None = None):
+        self.idx, self.n, self.cols, self._m = idx, n, cols, None
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
         if self._m is None:
-            k = len(self.idx)
-            self._m = csr_matrix((np.ones(k), (self.idx, np.arange(k))),
-                                 shape=(self.n, k))
+            order = np.argsort(self.idx, kind="stable")
+            indptr = np.r_[0, np.bincount(self.idx, minlength=self.n).cumsum()]
+            cols = order if self.cols is None else self.cols[order]
+            self._m = csr_matrix((np.ones(len(order)), cols, indptr),
+                                 shape=(self.n, len(a)))
         rows = a.reshape(len(a), math.prod(a.shape[1:]))
         return (self._m @ rows).reshape((self.n,) + a.shape[1:])
 
@@ -244,6 +254,16 @@ def segment_sum(a: Var, seg: np.ndarray, num_segments: int) -> Var:
     """Sum rows of ``a`` into ``num_segments`` buckets; empty buckets are 0."""
     sc = _Scatter(np.asarray(seg, dtype=np.intp), num_segments)
     return a.tape._push("segsum", (a.i,), sc, sc(a.value))
+
+
+def gather_sum(vs: list[Var], frm: np.ndarray, seg: np.ndarray,
+               num_segments: int) -> list[Var]:
+    """``segment_sum(gather(a, frm), seg, num_segments)``, bitwise, for each
+    a in ``vs``: M @ a and M^T @ g with M and M^T shared, no gathered rows."""
+    frm, seg = np.asarray(frm, dtype=np.intp), np.asarray(seg, dtype=np.intp)
+    m = _Scatter(seg, num_segments, frm)
+    mt = _Scatter(frm, len(vs[0].value), seg)
+    return [a.tape._push("gsum", (a.i,), mt, m(a.value)) for a in vs]
 
 
 def concat(vs: list[Var], axis: int = 1) -> Var:
@@ -274,40 +294,53 @@ def silu(a: Var) -> Var:
     return a.tape._push("silu", (a.i,), s, a.value * s)
 
 
-def smooth_norm(a: Var) -> Var:
-    """sqrt(sum(a^2, last axis) + eps), keepdims; defined and smooth at 0."""
-    v = np.sqrt(np.sum(a.value * a.value, axis=-1, keepdims=True) + NORM_EPS)
-    return a.tape._push("snorm", (a.i,), v, v)
+def _dsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a[:, k] * b[:, k]: (R, d, C) -> (R, C), one slab at a time."""
+    tmp = a[:, 0] * b[:, 0]
+    out = tmp + 0.0
+    for k in range(1, a.shape[1]):
+        out += np.multiply(a[:, k], b[:, k], out=tmp)
+    return out
+
+
+def _csum(a: np.ndarray) -> np.ndarray:
+    """Sum over the trailing channel axis, one channel at a time."""
+    out = a[..., 0] + 0.0
+    for c in range(1, a.shape[-1]):
+        out += a[..., c]
+    return out
 
 
 def channel_norm(a: Var) -> Var:
-    """Like smooth_norm but drops the reduced axis: (R,C,d) -> (R,C)."""
-    v = np.sqrt(np.sum(a.value * a.value, axis=-1) + NORM_EPS)
+    """sqrt(sum over d of a^2 + eps), smooth at 0: (R, d, C) -> (R, C); an
+    (R, d) array is one channel and gives (R, 1)."""
+    x = a.value if a.value.ndim == 3 else a.value[:, :, None]
+    v = _dsum(x, x)
+    v += NORM_EPS
+    np.sqrt(v, out=v)
     return a.tape._push("cnorm", (a.i,), v, v)
 
 
 def dot_last(a: Var, b: Var) -> Var:
-    """Row/channel-wise inner product over the trailing axis."""
-    return a.tape._push("dotl", (a.i, b.i), None,
-                        np.sum(a.value * b.value, axis=-1))
+    """Channel-wise inner product over d: (R, d, C) x (R, d, C) -> (R, C)."""
+    return a.tape._push("dotl", (a.i, b.i), None, _dsum(a.value, b.value))
 
 
 def scale_channels(v: Var, s: Var) -> Var:
-    """v[r,c,:] * s[r,c] (or s[r,0] broadcast across channels)."""
+    """v[r, :, c] * s[r, c] (or s[r, 0] broadcast across channels)."""
     return v.tape._push("scalec", (v.i, s.i), None,
-                        v.value * s.value[..., None])
+                        v.value * s.value[:, None, :])
 
 
 def outer_rows(s: Var, u: Var) -> Var:
-    """(R,C) x (R,d) -> (R,C,d) per-row outer product."""
+    """(R, C) x (R, d) -> (R, d, C) per-row outer product."""
     return s.tape._push("outer", (s.i, u.i), None,
-                        s.value[:, :, None] * u.value[:, None, :])
+                        u.value[:, :, None] * s.value[:, None, :])
 
 
 def sum_channels(v: Var) -> Var:
-    """(R,C,d) -> (R,d): sum over the channel axis."""
-    return v.tape._push("sumc", (v.i,), v.value.shape,
-                        np.sum(v.value, axis=1))
+    """(R, d, C) -> (R, d): sum over the channel axis."""
+    return v.tape._push("sumc", (v.i,), v.value.shape, _csum(v.value))
 
 
 def sum_all(a: Var) -> Var:
@@ -384,7 +417,7 @@ def _bw_affine(g, vals, ps, aux, want):
             _unbroadcast(g, b.shape) if want[2] else None)
 
 
-def _bw_gather(g, vals, ps, sc, want):
+def _bw_gather(g, vals, ps, sc, want):  # also gsum's, with sc = M^T
     return (sc(g),)
 
 
@@ -415,34 +448,33 @@ def _bw_silu(g, vals, ps, s, want):
     return (t,)
 
 
-def _bw_snorm(g, vals, ps, v, want):
-    return (g * vals[ps[0]] / v,)
-
-
-def _bw_cnorm(g, vals, ps, v, want):
-    return (g[..., None] * vals[ps[0]] / v[..., None],)
+def _bw_cnorm(g, vals, ps, n, want):
+    a = vals[ps[0]]
+    t = g[:, None, :] * (a if a.ndim == 3 else a[:, :, None])
+    t /= n[:, None, :]
+    return (t.reshape(a.shape),)
 
 
 def _bw_dotl(g, vals, ps, aux, want):
     a, b = vals[ps[0]], vals[ps[1]]
-    return (g[..., None] * b if want[0] else None,
-            g[..., None] * a if want[1] else None)
+    return (g[:, None, :] * b if want[0] else None,
+            g[:, None, :] * a if want[1] else None)
 
 
 def _bw_scalec(g, vals, ps, aux, want):
     v, s = vals[ps[0]], vals[ps[1]]
-    return (g * s[..., None] if want[0] else None,
-            _unbroadcast(np.sum(g * v, axis=-1), s.shape) if want[1] else None)
+    return (g * s[:, None, :] if want[0] else None,
+            _unbroadcast(_dsum(g, v), s.shape) if want[1] else None)
 
 
 def _bw_outer(g, vals, ps, aux, want):
     s, u = vals[ps[0]], vals[ps[1]]
-    return (np.sum(g * u[:, None, :], axis=-1) if want[0] else None,
-            np.sum(g * s[:, :, None], axis=1) if want[1] else None)
+    return (_dsum(g, u[:, :, None]) if want[0] else None,
+            _csum(g * s[:, None, :]) if want[1] else None)
 
 
 def _bw_sumc(g, vals, ps, shape, want):
-    return (np.broadcast_to(g[:, None, :], shape).copy(),)
+    return (np.broadcast_to(g[:, :, None], shape).copy(),)
 
 
 def _bw_suma(g, vals, ps, shape, want):
@@ -480,8 +512,8 @@ def _bw_reshape(g, vals, ps, orig_shape, want):
 _BACKWARD: dict[str, Callable] = {
     "add": _bw_add, "sub": _bw_sub, "mul": _bw_mul, "div": _bw_div,
     "smul": _bw_smul, "affine": _bw_affine, "gather": _bw_gather,
-    "segsum": _bw_segsum, "concat": _bw_concat, "slice": _bw_slice,
-    "silu": _bw_silu, "snorm": _bw_snorm, "cnorm": _bw_cnorm,
+    "segsum": _bw_segsum, "gsum": _bw_gather, "concat": _bw_concat,
+    "slice": _bw_slice, "silu": _bw_silu, "cnorm": _bw_cnorm,
     "dotl": _bw_dotl, "scalec": _bw_scalec, "outer": _bw_outer,
     "sumc": _bw_sumc, "suma": _bw_suma, "rbf": _bw_rbf,
     "segsoft": _bw_segsoft, "reshape": _bw_reshape,

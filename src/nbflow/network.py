@@ -14,7 +14,9 @@ detaching the conditioner.
 Feature scheme: each entity carries an invariant channel s in R^{n_h} and
 an equivariant channel v of n_h vectors in R^d.  Scalars see norms, inner
 products and type embeddings; vectors are only ever gated by scalars and
-added, which keeps rotation equivariance exact by construction.
+added, which keeps rotation equivariance exact by construction.  The tape
+stores v as (R, d, C) (see ``autodiff`` for the summation orders);
+``embed_features`` and ``message_step`` take and return (R, C, d).
 
 A conventional GNN on the base graph (``baseline=True``) with the same
 feature families is included for comparisons; its divergence genuinely
@@ -35,10 +37,10 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import (Tape, Var, affine, concat, detach, dot_last, gather,
-                       gauss_rbf, outer_rows, scale_channels,
-                       segment_softmax, segment_sum, silu, slice_cols,
-                       smooth_norm, channel_norm, sum_channels)
+from .autodiff import (Tape, Var, affine, channel_norm, concat, detach,
+                       dot_last, gather, gather_sum, gauss_rbf, outer_rows,
+                       scale_channels, segment_softmax, segment_sum, silu,
+                       slice_cols, sum_channels)
 from . import graphs as gt
 
 N_TIME_FEATURES = 2  # sin/cos of 2*pi*t appended to message/update/readout inputs
@@ -348,7 +350,7 @@ def _embed(tape, pv, cfg: ArchConfig, delta: Var, z_rows: np.ndarray,
     through a two-layer net; v is a per-channel gate of the smoothed unit
     vector, so a zero input yields exactly zero vector channels.
     """
-    r = smooth_norm(delta)
+    r = channel_norm(delta)
     unit = delta / r
     feats = [gauss_rbf(r, cfg.rbf_centers, cfg.rbf_gamma)]
     onehot = np.zeros((len(z_rows), cfg.n_types))
@@ -417,12 +419,13 @@ def message_step(params: dict, cfg: ArchConfig, h_s: np.ndarray,
     """Numerically apply one message-passing round to given line features.
 
     Respects the line graph's active mask; receivers with no active
-    in-edges are updated with a zero message.
+    in-edges are updated with a zero message.  ``h_v`` and the returned
+    vectors are (R, C, d); the tape works on (R, d, C).
     """
     cfg.validate()
     tape = Tape()
     pv = param_vars(tape, params)
-    hs, hv = tape.leaf(h_s), tape.leaf(h_v)
+    hs, hv = tape.leaf(h_s), tape.leaf(np.swapaxes(h_v, 1, 2).copy())
     t_from, t_to = lg.active_pairs()
     tf = _time_features(np.full(len(t_from), float(t)))
     m_s, m_v = _message_rows(tape, pv, cfg, hs, hv, t_from, t_to, tf)
@@ -431,7 +434,7 @@ def message_step(params: dict, cfg: ArchConfig, h_s: np.ndarray,
     M_v = segment_sum(m_v, t_to, n_ln)
     tfn = _time_features(np.full(n_ln, float(t)))
     hs2, hv2 = _update(tape, pv, cfg, hs, hv, M_s, M_v, tfn)
-    return hs2.value, hv2.value
+    return hs2.value, np.swapaxes(hv2.value, 1, 2)
 
 
 def _time_features(t_rows: np.ndarray) -> np.ndarray:
@@ -463,6 +466,9 @@ def build_field(tape: Tape, pv: dict[str, Var], cfg: ArchConfig, x: Var,
     n_loc = plan.n_per_sample
     t_samples = np.asarray(t_samples, dtype=np.float64)
     tf_node = _time_features(t_samples[plan.node_sample])
+    if cfg.unique_nodes and cfg.unique_nodes != n_loc:
+        raise ValueError(f"unique_nodes is {cfg.unique_nodes}, but the field "
+                         f"has {n_loc} particles")
     local_id = (np.arange(N) % n_loc) if cfg.unique_nodes else None
 
     if cfg.baseline:
@@ -481,8 +487,7 @@ def build_field(tape: Tape, pv: dict[str, Var], cfg: ArchConfig, x: Var,
             es, ev = _embed(tape, pv, cfg, diff, Z[hp.src],
                             None if local_id is None else local_id[hp.src])
             ps, pvv = _feature_map(pv, "init_phi", es, ev)
-            M_s = segment_sum(gather(ps, hp.init_from), hp.init_to, E)
-            M_v = segment_sum(gather(pvv, hp.init_from), hp.init_to, E)
+            M_s, M_v = gather_sum([ps, pvv], hp.init_from, hp.init_to, E)
             hs, hv = _feature_map(pv, "init_psi", M_s, M_v)
         else:
             hs, hv = gather(ns, hp.src), gather(nv, hp.src)
@@ -617,14 +622,16 @@ def baseline_forward(params, cfg, x, Z=None, t=0.0, graph_override=None):
 
 def embed_features(params, cfg: ArchConfig, delta, Z=None,
                    local_ids=None) -> tuple[np.ndarray, np.ndarray]:
-    """Numeric embedding of displacement rows: returns (s, v) arrays."""
+    """Numeric embedding of displacement rows: (s (R, C), v (R, C, d))."""
     delta = np.atleast_2d(np.asarray(delta, dtype=np.float64))
     R = delta.shape[0]
     Z = np.zeros(R, dtype=int) if Z is None else np.asarray(Z, dtype=int)
+    if cfg.unique_nodes and local_ids is None:
+        raise ValueError("unique_nodes is set, so embed_features needs local_ids")
     tape = Tape()
     pv = param_vars(tape, params)
     s, v = _embed(tape, pv, cfg, tape.leaf(delta), Z, local_ids)
-    return s.value, v.value
+    return s.value, np.swapaxes(v.value, 1, 2)
 
 
 def make_field_program(params, cfg: ArchConfig, n: int, d: int, Z=None,

@@ -222,7 +222,7 @@ class TestCriterion4BacktrackTable:
                                      np.array([0.2]), plan)
                 s_var, v_var = fb.h_steps[0][t_idx]
                 return (s_var.value @ u_s
-                        + np.einsum("lcd,cd->l", v_var.value, u_v))
+                        + np.einsum("ldc,cd->l", v_var.value, u_v))
 
             for t_idx in range(cfg.steps + 1):
                 J = ad.full_jacobian_fd(lambda v: probe(v, t_idx),

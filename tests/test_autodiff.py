@@ -3,9 +3,11 @@ probe-vector diagonal extraction, and pass accounting."""
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nbflow import autodiff as ad
 from nbflow import network as net
+from test_graphs import make_cloud, random_graph
 
 
 def square_program():
@@ -228,10 +230,10 @@ class TestOpGradients:
         self._check(lambda t, x: ad.silu(x), (4, 3))
 
     def test_div_broadcast(self):
-        self._check(lambda t, x: x / ad.smooth_norm(x), (4, 3), seed=2)
+        self._check(lambda t, x: x / ad.channel_norm(x), (4, 3), seed=2)
 
     def test_smooth_norm(self):
-        self._check(lambda t, x: ad.smooth_norm(x), (4, 3))
+        self._check(lambda t, x: ad.channel_norm(x), (4, 3))
 
     def test_channel_norm(self):
         self._check(lambda t, x: ad.channel_norm(x), (3, 2, 3))
@@ -271,7 +273,7 @@ class TestOpGradients:
         centers = np.linspace(0.0, 2.0, 5)
 
         def b(t, x):
-            return ad.gauss_rbf(ad.smooth_norm(x), centers, 1.3)
+            return ad.gauss_rbf(ad.channel_norm(x), centers, 1.3)
         self._check(b, (4, 3))
 
     def test_segment_softmax(self):
@@ -317,7 +319,7 @@ MULTI_PARENT = {
                                      t.leaf(r((2,)))),
     "dotl": lambda t, r: ad.dot_last(t.leaf(r((4, 2, 3))), t.leaf(r((4, 2, 3)))),
     "scalec": lambda t, r: ad.scale_channels(t.leaf(r((4, 2, 3))),
-                                             t.leaf(r((4, 2)))),
+                                             t.leaf(r((4, 3)))),
     "outer": lambda t, r: ad.outer_rows(t.leaf(r((4, 2))), t.leaf(r((4, 3)))),
     "concat": lambda t, r: ad.concat([t.leaf(r((4, 2))), t.leaf(r((4, 3))),
                                       t.leaf(r((4, 1)))]),
@@ -356,6 +358,25 @@ class TestPrunedReversePass:
                       if len(tape.parents[i]) > 1}
         assert kinds == set(MULTI_PARENT)
 
+    def test_gather_sum_rule_runs_on_pairwise_tapes(self, monkeypatch):
+        cfg = net.ArchConfig(n_hidden=4, steps=2, knn_k=3,
+                             pairwise_diff=True).validate()
+        prog = net.make_field_program(net.init_params(cfg, seed=2), cfg, 6, 2)
+        ad.forward_eval(prog, np.random.default_rng(3).standard_normal(12))
+        tape = prog.tape
+        fused = [i for i, kind in enumerate(tape.kinds) if kind == "gsum"]
+        assert len(fused) == 2  # M_s and M_v of the pairwise init
+        assert tape.aux[fused[0]] is tape.aux[fused[1]]  # one matrix pair
+        node_of = {id(ps): i for i, ps in enumerate(tape.parents)}
+        ran, rule = [], ad._BACKWARD["gsum"]
+
+        def spy(g, vals, ps, aux, want):
+            ran.append(node_of[id(ps)])
+            return rule(g, vals, ps, aux, want)
+        monkeypatch.setitem(ad._BACKWARD, "gsum", spy)
+        ad.vjp(prog, ad.probe_vectors(6, 2)[0])
+        assert sorted(ran) == fused
+
     def test_probe_pass_visits_only_nodes_reaching_x(self, monkeypatch):
         cfg = net.ArchConfig(n_hidden=6, steps=2, knn_k=3,
                              pairwise_diff=True).validate()
@@ -393,6 +414,34 @@ class TestPrunedReversePass:
             assert visits < len(unpruned)
 
 
+def channel_major(a):
+    """An (R, d, C) array's data laid out (R, C, d), for the oracles."""
+    return np.ascontiguousarray(np.swapaxes(a, 1, 2))
+
+
+def awkward(rng, shape):
+    """Random entries with -0.0 and +-1e-300 mixed in."""
+    a = rng.standard_normal(shape)
+    flat = a.reshape(-1)
+    flat[::5], flat[1::7], flat[2::11] = -0.0, 1e-300, -1e-300
+    return a
+
+
+def run_op(op, *args):
+    """An op's value and its rule's gradients for a random cotangent."""
+    tape = ad.Tape()
+    out = op(*(tape.leaf(a) for a in args))
+    g = awkward(np.random.default_rng(1), out.shape)
+    i = out.i
+    grads = ad._BACKWARD[tape.kinds[i]](g, tape.vals, tape.parents[i],
+                                        tape.aux[i], (True,) * len(args))
+    return out.value, g, grads
+
+
+def same_bits(got, ref):
+    return got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 def two_branch_sigmoid(x):
     out = np.empty_like(x)
     pos = x >= 0
@@ -428,6 +477,77 @@ class TestKernels:
         gathered = ad.gather(src, idx)
         (g,) = tape.vjp(gathered, rows, [src])
         assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("R", [0, 6])
+    @pytest.mark.parametrize("C", [1, 5, 32])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_layout_ops_match_channel_major_formulas(self, R, C, d):
+        rng = np.random.default_rng(C + d)
+        a, b = awkward(rng, (R, d, C)), awkward(rng, (R, d, C))
+        ao, bo = channel_major(a), channel_major(b)
+        u = awkward(rng, (R, d))
+        eps = ad.NORM_EPS
+
+        v, g, (ga,) = run_op(ad.channel_norm, a)
+        assert same_bits(v, np.sqrt(np.sum(ao * ao, axis=-1) + eps))
+        assert same_bits(ga, np.swapaxes(g[..., None] * ao / v[..., None], 1, 2))
+        v, g, (gu,) = run_op(ad.channel_norm, u)  # (R, d) rows: one channel
+        assert same_bits(v, np.sqrt(np.sum(u * u, axis=-1, keepdims=True) + eps))
+        assert same_bits(gu, g * u / v)
+
+        v, g, (ga, gb) = run_op(ad.dot_last, a, b)
+        assert same_bits(v, np.sum(ao * bo, axis=-1))
+        assert same_bits(ga, np.swapaxes(g[..., None] * bo, 1, 2))
+        assert same_bits(gb, np.swapaxes(g[..., None] * ao, 1, 2))
+
+        for s in (awkward(rng, (R, C)), awkward(rng, (R, 1))):
+            v, g, (ga, gs) = run_op(ad.scale_channels, a, s)
+            go = channel_major(g)
+            assert same_bits(v, np.swapaxes(ao * s[..., None], 1, 2))
+            assert same_bits(ga, np.swapaxes(go * s[..., None], 1, 2))
+            assert same_bits(gs, ad._unbroadcast(np.sum(go * ao, axis=-1),
+                                                 s.shape))
+
+        s = awkward(rng, (R, C))
+        v, g, (gs, gu) = run_op(ad.outer_rows, s, u)
+        go = channel_major(g)
+        assert same_bits(v, np.swapaxes(s[:, :, None] * u[:, None, :], 1, 2))
+        assert same_bits(gs, np.sum(go * u[:, None, :], axis=-1))
+        assert same_bits(gu, np.sum(go * s[:, :, None], axis=1))
+
+        v, g, (ga,) = run_op(ad.sum_channels, a)
+        assert same_bits(v, np.sum(ao, axis=1))
+        assert same_bits(ga, np.swapaxes(
+            np.broadcast_to(g[:, None, :], ao.shape), 1, 2))
+
+    @given(source=st.sampled_from(["gaussian", "lattice", "coincident",
+                                   "random"]),
+           n=st.integers(2, 30), d=st.sampled_from([2, 3]),
+           k=st.integers(1, 6), B=st.integers(1, 3),
+           C=st.sampled_from([1, 5, 32]), seed=st.integers(0, 2**32 - 1))
+    def test_gather_sum_matches_gather_then_segment_sum(self, source, n, d,
+                                                         k, B, C, seed):
+        cfg = net.ArchConfig(knn_k=min(k, n - 1), pairwise_diff=True)
+        if source == "random":  # may have no triple at all
+            xs = np.zeros((B, n, d))
+            override = [[random_graph(n, seed + s)] for s in range(B)]
+        else:
+            xs = np.stack([make_cloud(source, n, d, seed + s) for s in range(B)])
+            override = None
+        hp = net.make_plan(xs, cfg.validate(), override).heads[0]
+        E = len(hp.src)
+        rng = np.random.default_rng(seed)
+        tape = ad.Tape()
+        leaves = [tape.leaf(awkward(rng, (E, C))),
+                  tape.leaf(awkward(rng, (E, d, C)))]
+        fused = ad.gather_sum(leaves, hp.init_from, hp.init_to, E)
+        for a, f in zip(leaves, fused):
+            ref = ad.segment_sum(ad.gather(a, hp.init_from), hp.init_to, E)
+            assert same_bits(f.value, ref.value)
+            g = awkward(rng, ref.shape)
+            (got,) = tape.vjp(f, g, [a])
+            (expect,) = tape.vjp(ref, g, [a])
+            assert same_bits(got, expect)
 
     def test_sigmoid_matches_two_branch_formula(self):
         rng = np.random.default_rng(7)

@@ -209,6 +209,21 @@ class TestEquivariance:
         b_perm = net.hollow_forward(params, cfg, x[perm], t=0.3)
         assert np.abs(b_perm - b[perm]).max() > 1e-6
 
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_unique_nodes_must_equal_particle_count(self, baseline):
+        cfg = net.ArchConfig(n_hidden=4, knn_k=2, unique_nodes=3,
+                             baseline=baseline).validate()
+        params = net.init_params(cfg, seed=0)
+        x = np.random.default_rng(0).standard_normal((4, 2))
+        with pytest.raises(ValueError, match=r"unique_nodes.*3.*4"):
+            net.evaluate_field(params, cfg, x)
+
+    def test_unique_nodes_embedding_needs_local_ids(self):
+        cfg = net.ArchConfig(n_hidden=4, knn_k=2, unique_nodes=3).validate()
+        params = net.init_params(cfg, seed=0)
+        with pytest.raises(ValueError, match="local_ids"):
+            net.embed_features(params, cfg, np.ones((3, 2)))
+
 
 def jacobian_reverse(prog, nd):
     J = np.empty((nd, nd))
@@ -397,7 +412,7 @@ class TestBacktrackTableAgainstGradients:
                                         graph_override=[g])
                 s_var, v_var = fb.h_steps[0][t_idx]
                 return (s_var.value @ u_s
-                        + np.einsum("lcd,cd->l", v_var.value, u_v))
+                        + np.einsum("ldc,cd->l", v_var.value, u_v))
 
             for t_idx in range(cfg.steps + 1):
                 J = ad.full_jacobian_fd(lambda v: probe(v, t_idx),
