@@ -21,10 +21,8 @@ for n in ns:
     x = rng.standard_normal((n, 2))
     hcfg = net.ArchConfig(n_hidden=32, steps=2, knn_k=4).validate()
     bcfg = net.ArchConfig(n_hidden=32, steps=2, baseline=True).validate()
-    h = bench.measure_step(net.init_params(hcfg, seed=1), hcfg, x,
-                           mode="hollow", repeats=3)
-    b = bench.measure_step(net.init_params(bcfg, seed=1), bcfg, x,
-                           mode="baseline", repeats=3)
+    h = bench.measure_step(net.init_params(hcfg, seed=1), hcfg, x, repeats=3)
+    b = bench.measure_step(net.init_params(bcfg, seed=1), bcfg, x, repeats=3)
     hollow.append(h)
     baseline.append(b)
     print(f"{n:<5d} {h.rt * 1e3:14.2f}     {b.rt * 1e3:16.2f}   "

@@ -56,15 +56,14 @@ def _as_f64(x):
 class Tape:
     """Eager record of array operations supporting vector-Jacobian products."""
 
-    __slots__ = ("kinds", "parents", "aux", "vals", "n_forward_visits",
-                 "n_reverse_visits", "n_reverse_passes", "_marks")
+    __slots__ = ("kinds", "parents", "aux", "vals", "n_reverse_visits",
+                 "n_reverse_passes", "_marks")
 
     def __init__(self):
         self.kinds: list[str] = []
         self.parents: list[tuple[int, ...]] = []
         self.aux: list = []
         self.vals: list[np.ndarray] = []
-        self.n_forward_visits = 0
         self.n_reverse_visits = 0
         self.n_reverse_passes = 0
         self._marks = None  # ((out, wrt ids), marks, wants) of the last vjp
@@ -77,7 +76,6 @@ class Tape:
         self.parents.append(parents)
         self.aux.append(aux)
         self.vals.append(value)
-        self.n_forward_visits += 1
         return Var(self, len(self.kinds) - 1)
 
     def leaf(self, value) -> "Var":
@@ -170,8 +168,7 @@ class Var:
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return self.tape._push("smul", (self.i,), float(other),
-                                   self.value * float(other))
+            other = self.tape.const(float(other))
         return _binary("mul", self, other)
 
     __rmul__ = __mul__
@@ -217,8 +214,8 @@ class _Scatter:
 
     It multiplies by a (segments x rows) CSR matrix of ones, built on first
     use and kept for every later pass.  Each matrix row lists its columns in
-    k order, so each segment adds its rows onto zero in ``np.add.at``'s
-    order: bitwise the ``np.zeros`` + ``np.add.at`` sums of ``a[cols]``.
+    k order, so each segment adds its rows onto zero in k order: bitwise the
+    sums that ``numpy.add.at`` makes of ``a[cols]`` on a zero array.
     """
 
     __slots__ = ("idx", "n", "cols", "_m")
@@ -352,7 +349,7 @@ def gauss_rbf(r: Var, centers: np.ndarray, gamma: float) -> Var:
     """Gaussian radial basis expansion of a (R,1) distance column."""
     centers = _as_f64(centers)
     val = np.exp(-gamma * (r.value - centers) ** 2)
-    return r.tape._push("rbf", (r.i,), (centers, gamma), val)
+    return r.tape._push("rbf", (r.i,), (centers, gamma, val), val)
 
 
 def segment_softmax(y: Var, seg: np.ndarray, num_segments: int) -> Var:
@@ -366,10 +363,9 @@ def segment_softmax(y: Var, seg: np.ndarray, num_segments: int) -> Var:
     m = np.full(num_segments, -np.inf)
     np.maximum.at(m, seg, col)
     e = np.exp(col - m[seg])
-    tot = np.zeros(num_segments)
-    np.add.at(tot, seg, e)
-    a = (e / tot[seg])[:, None]
-    return y.tape._push("segsoft", (y.i,), (seg, num_segments), a)
+    sc = _Scatter(seg, num_segments)
+    alpha = e / sc(e)[seg]
+    return y.tape._push("segsoft", (y.i,), (sc, alpha), alpha[:, None])
 
 
 def detach(a: Var) -> Var:
@@ -405,10 +401,6 @@ def _bw_div(g, vals, ps, aux, want):
     a, b = vals[ps[0]], vals[ps[1]]
     return (_unbroadcast(g / b, a.shape) if want[0] else None,
             _unbroadcast(-g * a / (b * b), b.shape) if want[1] else None)
-
-
-def _bw_smul(g, vals, ps, aux, want):
-    return (g * aux,)
 
 
 def _bw_affine(g, vals, ps, aux, want):
@@ -482,27 +474,16 @@ def _bw_suma(g, vals, ps, shape, want):
 
 
 def _bw_rbf(g, vals, ps, aux, want):
-    centers, gamma = aux
+    centers, gamma, val = aux
     r = vals[ps[0]]
-    val = np.exp(-gamma * (r - centers) ** 2)
     return (np.sum(g * val * (-2.0 * gamma) * (r - centers),
                    axis=1, keepdims=True),)
 
 
 def _bw_segsoft(g, vals, ps, aux, want):
-    seg, nseg = aux
-    # alpha is this node's own value; recompute from parent for locality
-    col = vals[ps[0]][:, 0]
-    m = np.full(nseg, -np.inf)
-    np.maximum.at(m, seg, col)
-    e = np.exp(col - m[seg])
-    tot = np.zeros(nseg)
-    np.add.at(tot, seg, e)
-    a = e / tot[seg]
+    sc, a = aux
     ga = g[:, 0] * a
-    dots = np.zeros(nseg)
-    np.add.at(dots, seg, ga)
-    return ((ga - a * dots[seg])[:, None],)
+    return ((ga - a * sc(ga)[sc.idx])[:, None],)
 
 
 def _bw_reshape(g, vals, ps, orig_shape, want):
@@ -511,7 +492,7 @@ def _bw_reshape(g, vals, ps, orig_shape, want):
 
 _BACKWARD: dict[str, Callable] = {
     "add": _bw_add, "sub": _bw_sub, "mul": _bw_mul, "div": _bw_div,
-    "smul": _bw_smul, "affine": _bw_affine, "gather": _bw_gather,
+    "affine": _bw_affine, "gather": _bw_gather,
     "segsum": _bw_segsum, "gsum": _bw_gather, "concat": _bw_concat,
     "slice": _bw_slice, "silu": _bw_silu, "cnorm": _bw_cnorm,
     "dotl": _bw_dotl, "scalec": _bw_scalec, "outer": _bw_outer,

@@ -10,16 +10,12 @@ brute-force baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import flow
 from . import network as net
-
-BENCH_FIELDS = ["mode", "n", "d", "k", "steps", "n_edges", "n_lg_edges",
-                "rt", "rt_forward", "rt_divergence", "reverse_passes",
-                "repeats", "seed"]
 
 
 @dataclass
@@ -39,35 +35,31 @@ class BenchRecord:
     seed: int
 
     def as_row(self) -> list:
-        d = asdict(self)
-        return [d[f] for f in BENCH_FIELDS]
+        return list(astuple(self))
 
+
+BENCH_FIELDS = [f.name for f in fields(BenchRecord)]
 
 MIN_TIMABLE = 1e-4  # seconds; below this the repeat count is raised
 
 
 def measure_step(params, cfg: net.ArchConfig, x: np.ndarray, Z=None,
-                 mode: str = "hollow", repeats: int = 3, t: float = 0.5,
-                 seed: int = 0) -> BenchRecord:
+                 repeats: int = 3, t: float = 0.5, seed: int = 0) -> BenchRecord:
     """Median wallclock of one field evaluation + one divergence.
 
-    ``mode`` is "hollow" (d probe passes on the detached program) or
-    "baseline" (n*d unit-cotangent passes); the configuration must match.
+    A hollow configuration spends d probe passes on the detached program
+    (record mode "hollow"), a baseline n*d unit-cotangent passes ("baseline").
     Runs one warm-up first; if the total is too fast to time reliably the
     repeat count is increased automatically.
     """
     if repeats < 3:
         raise ValueError("repeats must be >= 3")
-    if mode not in ("hollow", "baseline"):
-        raise ValueError(f"unknown bench mode {mode!r}")
-    if (mode == "baseline") != cfg.baseline:
-        raise ValueError("mode does not match the configuration")
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
     plan = net.make_plan(x[None], cfg)
     n_edges = len(plan.heads[0].src)
     n_lg = 0 if cfg.baseline else len(plan.heads[0].init_from)
-    div_mode = "hollow" if mode == "hollow" else "brute"
+    div_mode = "brute" if cfg.baseline else "hollow"
 
     def one_step():
         _, _, stats = flow.field_and_divergence(params, cfg, x[None], Z, t,
@@ -86,7 +78,8 @@ def measure_step(params, cfg: net.ArchConfig, x: np.ndarray, Z=None,
         if med_f + med_b >= MIN_TIMABLE or repeats >= 200:
             break
         repeats *= 4
-    return BenchRecord(mode=mode, n=n, d=d, k=cfg.knn_k, steps=cfg.steps,
+    return BenchRecord(mode="baseline" if cfg.baseline else "hollow", n=n,
+                       d=d, k=cfg.knn_k, steps=cfg.steps,
                        n_edges=n_edges, n_lg_edges=n_lg,
                        rt=med_f + med_b, rt_forward=med_f,
                        rt_divergence=med_b, reverse_passes=passes,

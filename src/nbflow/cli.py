@@ -32,16 +32,6 @@ class ConfigError(ValueError):
     pass
 
 
-_SYSTEM_KEYS = {"kind", "n", "d", "beta", "r_min", "eps_lj", "tau_lj",
-                "mixture_means", "mixture_sigmas", "mixture_weights"}
-_MODEL_KEYS = {f.name for f in dataclasses.fields(net.ArchConfig)}
-_TRAIN_KEYS = {f.name for f in dataclasses.fields(training.TrainConfig)}
-_SAMPLE_KEYS = {"count", "divergence_mode", "integrator_steps", "batch_size"}
-_MCMC_KEYS = {"n_samples", "step_size", "burn_in", "thin"}
-_BENCH_KEYS = {"n_list", "k", "d", "steps", "n_hidden", "repeats"}
-_TOP_KEYS = {"system", "model", "train", "sample", "mcmc", "bench",
-             "seed", "out_dir"}
-
 DEFAULT_CONFIG = {
     "system": {"kind": "gaussian", "n": 4, "d": 2, "beta": 1.0},
     "model": {"n_hidden": 16, "steps": 2, "knn_k": 3},
@@ -56,6 +46,17 @@ DEFAULT_CONFIG = {
 }
 
 
+def _fields(cls) -> set:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+# allowed keys per section: its config class's fields, else its default keys
+_SECTION_KEYS = {
+    "system": _fields(boltzmann.SystemSpec), "model": _fields(net.ArchConfig),
+    "train": _fields(training.TrainConfig),
+    **{sec: set(DEFAULT_CONFIG[sec]) for sec in ("sample", "mcmc", "bench")}}
+
+
 def _check_keys(section: dict, allowed: set, where: str):
     for key in section:
         if key not in allowed:
@@ -64,11 +65,9 @@ def _check_keys(section: dict, allowed: set, where: str):
 
 
 def validate_config(cfg: dict) -> dict:
-    _check_keys(cfg, _TOP_KEYS, "")
+    _check_keys(cfg, set(DEFAULT_CONFIG), "")
     merged = copy.deepcopy(DEFAULT_CONFIG)
-    for sec, allowed in (("system", _SYSTEM_KEYS), ("model", _MODEL_KEYS),
-                         ("train", _TRAIN_KEYS), ("sample", _SAMPLE_KEYS),
-                         ("mcmc", _MCMC_KEYS), ("bench", _BENCH_KEYS)):
+    for sec, allowed in _SECTION_KEYS.items():
         part = cfg.get(sec, {})
         if not isinstance(part, dict):
             raise ConfigError(f"section {sec} must be an object")
@@ -78,6 +77,13 @@ def validate_config(cfg: dict) -> dict:
     merged["out_dir"] = cfg.get("out_dir", merged["out_dir"])
     if merged["sample"]["divergence_mode"] not in flow.DIVERGENCE_MODES:
         raise ConfigError("unknown key value sample.divergence_mode")
+    for key in ("count", "batch_size", "integrator_steps"):
+        try:
+            bad = int(merged["sample"][key]) < 1
+        except (TypeError, ValueError):
+            bad = True
+        if bad:
+            raise ConfigError(f"sample.{key} must be an integer >= 1")
     return merged
 
 
@@ -181,8 +187,11 @@ def cmd_generate_data(cfg, out_dir, quiet):
 
 def cmd_train(cfg, out_dir, quiet, data_path=None):
     arch = _arch_config(cfg)
-    tc = training.TrainConfig(**cfg["train"])
-    tc.seed = cfg["seed"]
+    try:
+        tc = training.TrainConfig(**{**cfg["train"], "seed": cfg["seed"]})
+        tc.validate()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid train config: {exc}") from exc
     data_path = Path(data_path) if data_path else out_dir / "data.csv"
     if not data_path.exists():
         raise ConfigError(f"training data not found: {data_path}")
@@ -292,11 +301,9 @@ def cmd_bench(cfg, out_dir, quiet):
         bcfg = net.ArchConfig(n_hidden=int(b["n_hidden"]), steps=int(b["steps"]),
                               baseline=True).validate()
         hrec = bench.measure_step(net.init_params(hcfg, seed=1), hcfg, x,
-                                  mode="hollow", repeats=int(b["repeats"]),
-                                  seed=cfg["seed"])
+                                  repeats=int(b["repeats"]), seed=cfg["seed"])
         brec = bench.measure_step(net.init_params(bcfg, seed=1), bcfg, x,
-                                  mode="baseline", repeats=int(b["repeats"]),
-                                  seed=cfg["seed"])
+                                  repeats=int(b["repeats"]), seed=cfg["seed"])
         hollow_recs.append(hrec)
         base_recs.append(brec)
         rows += [hrec.as_row(), brec.as_row()]

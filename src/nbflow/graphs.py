@@ -253,8 +253,6 @@ class HeadPartition:
     """
 
     heads: list[DirectedGraph]
-    n_heads: int
-    overlap: int
     length_ranges: list[tuple[float, float]]
     chunk_edges: list[np.ndarray] = None
 
@@ -311,5 +309,4 @@ def partition_multihead(positions: np.ndarray, n_heads: int,
         heads.append(DirectedGraph(n=n, src=hs, dst=hd))
         ranges.append((float(len_s[lo]), float(len_s[hi - 1])) if hi > lo
                       else (np.nan, np.nan))
-    return HeadPartition(heads=heads, n_heads=n_heads, overlap=overlap,
-                         length_ranges=ranges, chunk_edges=chunks)
+    return HeadPartition(heads=heads, length_ranges=ranges, chunk_edges=chunks)

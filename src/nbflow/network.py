@@ -235,6 +235,9 @@ def load_checkpoint(prefix) -> tuple[dict[str, np.ndarray], ArchConfig, dict]:
     off = 0
     for name, shape in found.items():
         size = int(np.prod(shape))
+        if off + size > blob.size:
+            raise ValueError(f"checkpoint array {name!r} runs past the end of "
+                             f"the blob ({blob.size} floats)")
         params[name] = blob[off:off + size].reshape(shape).astype(np.float64)
         off += size
     if off != blob.size:
@@ -413,6 +416,17 @@ def _update(tape, pv, cfg, hs, hv, M_s, M_v, tf_rows):
     return hs + ds, hv + scale_channels(M_v, gv)
 
 
+def _round(tape, pv, cfg, hs, hv, t_from, t_to, tf_rows):
+    """One message-passing round: messages along the (t_from -> t_to)
+    pairs, summed into the ``hs.shape[0]`` receivers, then the update.
+    ``tf_rows`` holds one time-feature row per receiver."""
+    m_s, m_v = _message_rows(tape, pv, cfg, hs, hv, t_from, t_to,
+                             tf_rows[t_to])
+    M_s = segment_sum(m_s, t_to, hs.shape[0])
+    M_v = segment_sum(m_v, t_to, hs.shape[0])
+    return _update(tape, pv, cfg, hs, hv, M_s, M_v, tf_rows)
+
+
 def message_step(params: dict, cfg: ArchConfig, h_s: np.ndarray,
                  h_v: np.ndarray, lg: gt.LineGraph, t: float = 0.0
                  ) -> tuple[np.ndarray, np.ndarray]:
@@ -426,14 +440,8 @@ def message_step(params: dict, cfg: ArchConfig, h_s: np.ndarray,
     tape = Tape()
     pv = param_vars(tape, params)
     hs, hv = tape.leaf(h_s), tape.leaf(np.swapaxes(h_v, 1, 2).copy())
-    t_from, t_to = lg.active_pairs()
-    tf = _time_features(np.full(len(t_from), float(t)))
-    m_s, m_v = _message_rows(tape, pv, cfg, hs, hv, t_from, t_to, tf)
-    n_ln = h_s.shape[0]
-    M_s = segment_sum(m_s, t_to, n_ln)
-    M_v = segment_sum(m_v, t_to, n_ln)
-    tfn = _time_features(np.full(n_ln, float(t)))
-    hs2, hv2 = _update(tape, pv, cfg, hs, hv, M_s, M_v, tfn)
+    tf = _time_features(np.full(h_s.shape[0], float(t)))
+    hs2, hv2 = _round(tape, pv, cfg, hs, hv, *lg.active_pairs(), tf)
     return hs2.value, np.swapaxes(hv2.value, 1, 2)
 
 
@@ -469,7 +477,7 @@ def build_field(tape: Tape, pv: dict[str, Var], cfg: ArchConfig, x: Var,
     if cfg.unique_nodes and cfg.unique_nodes != n_loc:
         raise ValueError(f"unique_nodes is {cfg.unique_nodes}, but the field "
                          f"has {n_loc} particles")
-    local_id = (np.arange(N) % n_loc) if cfg.unique_nodes else None
+    local_id = np.arange(N) % n_loc
 
     if cfg.baseline:
         return _build_baseline(tape, pv, cfg, x, Z, plan, tf_node, local_id)
@@ -480,32 +488,24 @@ def build_field(tape: Tape, pv: dict[str, Var], cfg: ArchConfig, x: Var,
     b = None
     h_steps_all = []
     for hp in plan.heads:
-        E = len(hp.src)
         tf_edge = _time_features(t_samples[hp.edge_sample])
         if cfg.pairwise_diff:
-            diff = gather(x, hp.src) - gather(x, hp.dst)
-            es, ev = _embed(tape, pv, cfg, diff, Z[hp.src],
-                            None if local_id is None else local_id[hp.src])
+            es, ev = _embed_pairs(tape, pv, cfg, x, x, Z, local_id, hp)
             ps, pvv = _feature_map(pv, "init_phi", es, ev)
-            M_s, M_v = gather_sum([ps, pvv], hp.init_from, hp.init_to, E)
+            M_s, M_v = gather_sum([ps, pvv], hp.init_from, hp.init_to,
+                                  len(hp.src))
             hs, hv = _feature_map(pv, "init_psi", M_s, M_v)
         else:
             hs, hv = gather(ns, hp.src), gather(nv, hp.src)
         h_steps = [(hs, hv)]
         for t_from, t_to in hp.step_pairs:
-            m_s, m_v = _message_rows(tape, pv, cfg, hs, hv, t_from, t_to,
-                                     tf_edge[t_to])
-            M_s = segment_sum(m_s, t_to, E)
-            M_v = segment_sum(m_v, t_to, E)
-            hs, hv = _update(tape, pv, cfg, hs, hv, M_s, M_v, tf_edge)
+            hs, hv = _round(tape, pv, cfg, hs, hv, t_from, t_to, tf_edge)
             h_steps.append((hs, hv))
         h_steps_all.append(h_steps)
 
         # transformer input: depends on x_j only
         if cfg.pairwise_diff:
-            diff_ro = gather(detach(x), hp.src) - gather(x, hp.dst)
-            rs, rv = _embed(tape, pv, cfg, diff_ro, Z[hp.src],
-                            None if local_id is None else local_id[hp.src])
+            rs, rv = _embed_pairs(tape, pv, cfg, detach(x), x, Z, local_id, hp)
         else:
             rs, rv = gather(ns, hp.dst), gather(nv, hp.dst)
         if detach_conditioner:
@@ -516,15 +516,18 @@ def build_field(tape: Tape, pv: dict[str, Var], cfg: ArchConfig, x: Var,
     return FieldBuild(tape=tape, b=b, h_steps=h_steps_all)
 
 
+def _embed_pairs(tape, pv, cfg, xs, x, Z, local_id, hp):
+    """Embedding of the displacements xs_src - x_dst along the head's edges."""
+    return _embed(tape, pv, cfg, gather(xs, hp.src) - gather(x, hp.dst),
+                  Z[hp.src], local_id[hp.src])
+
+
 def _build_baseline(tape, pv, cfg, x, Z, plan, tf_node, local_id):
     """Standard message passing on the base graph; no hollow structure."""
     N = plan.n_total
     hp = plan.heads[0]
-    tf_edge = tf_node[hp.dst]
     if cfg.pairwise_diff:
-        diff = gather(x, hp.src) - gather(x, hp.dst)
-        es, ev = _embed(tape, pv, cfg, diff, Z[hp.src],
-                        None if local_id is None else local_id[hp.src])
+        es, ev = _embed_pairs(tape, pv, cfg, x, x, Z, local_id, hp)
         ps, pvv = _feature_map(pv, "init_phi", es, ev)
         hs, hv = _feature_map(pv, "init_psi",
                               segment_sum(ps, hp.dst, N),
@@ -534,14 +537,12 @@ def _build_baseline(tape, pv, cfg, x, Z, plan, tf_node, local_id):
     n_s, n_v = hs, hv
     h_steps = [(hs, hv)]
     for _ in range(cfg.steps):
-        m_s, m_v = _message_rows(tape, pv, cfg, hs, hv, hp.src, hp.dst, tf_edge)
-        M_s = segment_sum(m_s, hp.dst, N)
-        M_v = segment_sum(m_v, hp.dst, N)
-        hs, hv = _update(tape, pv, cfg, hs, hv, M_s, M_v, tf_node)
+        hs, hv = _round(tape, pv, cfg, hs, hv, hp.src, hp.dst, tf_node)
         h_steps.append((hs, hv))
     # readout sums per-edge contributions, so isolated nodes get zero
     b = _readout(tape, pv, cfg, gather(hs, hp.dst), gather(hv, hp.dst),
-                 gather(n_s, hp.src), gather(n_v, hp.src), tf_edge, hp.dst, N)
+                 gather(n_s, hp.src), gather(n_v, hp.src), tf_node[hp.dst],
+                 hp.dst, N)
     return FieldBuild(tape=tape, b=b, h_steps=[h_steps])
 
 
@@ -585,25 +586,14 @@ def evaluate_field(params, cfg: ArchConfig, x, Z=None, t=0.0,
                    graph_override=None, detach_conditioner=False) -> np.ndarray:
     """Numeric field evaluation; accepts (n,d), a (B,n,d) batch, or a
     ParticleConfiguration."""
-    cfg.validate()
     if isinstance(x, ParticleConfiguration):
         x.validate()
         x, Z, t = x.x, x.Z, x.t
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 2
-    xs = x[None] if single else x
-    B, n, d = xs.shape
-    Zs, t_samples, go = batch_inputs(B, n, Z, t, graph_override)
-    plan = make_plan(xs, cfg, go)
-    tape = Tape()
-    pv = param_vars(tape, params)
-    xv = tape.leaf(xs.reshape(B * n, d))
-    fb = build_field(tape, pv, cfg, xv, Zs.reshape(-1), t_samples, plan,
-                     detach_conditioner)
-    out = fb.b.value
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("non-finite field output")
-    return out.reshape(n, d) if single else out.reshape(B, n, d)
+    B, n, d = x.shape if x.ndim == 3 else (1, *x.shape)
+    prog = make_field_program(params, cfg, n, d, Z, t, B, graph_override,
+                              detach_conditioner)
+    return ad.forward_eval(prog, x.reshape(-1)).reshape(x.shape)
 
 
 def hollow_forward(params, cfg, x, Z=None, t=0.0, graph_override=None):

@@ -39,6 +39,8 @@ class TrainConfig:
     def validate(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be positive")
+        if self.checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be positive")
         if self.lr_initial <= 0 or self.lr_final <= 0:
             raise ValueError("learning rates must be positive")
         if self.sigma < 0:
@@ -59,7 +61,6 @@ class CfmBatch:
     x0: np.ndarray      # (B, n, d) coupled prior points
     x1: np.ndarray      # (B, n, d) coupled data points
     t: np.ndarray       # (B,)
-    sigma: float
     x_t: np.ndarray
     u_t: np.ndarray
     Z: np.ndarray | None = None
@@ -113,8 +114,7 @@ def make_cfm_batch(x0, x1, t, sigma, rng=None, Z=None,
     x_t, u_t = interpolant_sample(x0, x1, t, sigma, rng)
     return CfmBatch(x0=np.asarray(x0, dtype=np.float64),
                     x1=np.asarray(x1, dtype=np.float64),
-                    t=np.asarray(t, dtype=np.float64), sigma=sigma,
-                    x_t=x_t, u_t=u_t, Z=Z)
+                    t=np.asarray(t, dtype=np.float64), x_t=x_t, u_t=u_t, Z=Z)
 
 
 def _loss_tape(params, cfg, batch: CfmBatch):

@@ -273,11 +273,9 @@ class TestCriterion6RuntimeTrends:
             bcfg = net.ArchConfig(n_hidden=32, steps=2,
                                   baseline=True).validate()
             hollow.append(bench.measure_step(
-                net.init_params(hcfg, seed=1), hcfg, x, mode="hollow",
-                repeats=3))
+                net.init_params(hcfg, seed=1), hcfg, x, repeats=3))
             base.append(bench.measure_step(
-                net.init_params(bcfg, seed=1), bcfg, x, mode="baseline",
-                repeats=3))
+                net.init_params(bcfg, seed=1), bcfg, x, repeats=3))
         ns = [8, 16, 32, 64]
         b_slope, _ = bench.fit_scaling(ns, [r.rt_divergence for r in base])
         h_slope, _ = bench.fit_scaling(ns, [r.rt for r in hollow])

@@ -17,7 +17,9 @@ class TestMeasureStep:
         else:
             cfg = net.ArchConfig(n_hidden=6, steps=2, baseline=True).validate()
         params = net.init_params(cfg, seed=0)
-        return bench.measure_step(params, cfg, x, mode=mode, repeats=3)
+        rec = bench.measure_step(params, cfg, x, repeats=3)
+        assert rec.mode == mode
+        return rec
 
     def test_hollow_pass_count_is_d(self):
         rec = self._record("hollow")
@@ -41,12 +43,6 @@ class TestMeasureStep:
             self_cfg = net.ArchConfig(n_hidden=4, steps=1, knn_k=2).validate()
             bench.measure_step(net.init_params(self_cfg, seed=0), self_cfg,
                                np.zeros((4, 2)), repeats=2)
-
-    def test_mode_config_mismatch(self):
-        cfg = net.ArchConfig(n_hidden=4, steps=1, knn_k=2).validate()
-        with pytest.raises(ValueError):
-            bench.measure_step(net.init_params(cfg, seed=0), cfg,
-                               np.zeros((4, 2)), mode="baseline")
 
 
 class TestFitScaling:

@@ -36,6 +36,25 @@ class TestConfigValidation:
         cfg.write_text("{not json")
         assert run(["inspect-graph", "--config", cfg, "--out", tmp_path]) == 1
 
+    @pytest.mark.parametrize("key", ["checkpoint_every", "batch_size"])
+    def test_train_config_error_names_key(self, tmp_path, capsys, key):
+        x = np.random.default_rng(0).standard_normal((8, 3, 2))
+        training.save_data_csv(tmp_path / "data.csv", x)
+        assert run(["train", "--out", tmp_path, "--quiet",
+                    "--set", "system.n=3", "--set", "model.n_hidden=4",
+                    "--set", "model.knn_k=2", "--set", "train.epochs=1",
+                    "--set", f"train.{key}=0"]) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["count", "batch_size", "integrator_steps"])
+    def test_sample_count_below_one_names_key(self, tmp_path, capsys, key):
+        cfg = net.ArchConfig(n_hidden=4, steps=1, knn_k=2).validate()
+        net.save_checkpoint(tmp_path / "checkpoint_best",
+                            net.init_params(cfg), cfg)
+        assert run(["sample", "--out", tmp_path, "--quiet",
+                    "--set", "system.n=3", "--set", f"sample.{key}=0"]) == 1
+        assert f"sample.{key}" in capsys.readouterr().err
+
     def test_runtime_failure_exit_code(self, tmp_path):
         # bench requires >= 4 sweep points
         assert run(["bench", "--out", tmp_path, "--set",

@@ -623,6 +623,14 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             net.load_checkpoint(tmp_path / "ck")
 
+    def test_truncated_blob_names_the_array(self, tmp_path):
+        cfg = net.ArchConfig(n_hidden=4, steps=1, knn_k=1).validate()
+        net.save_checkpoint(tmp_path / "ck", net.init_params(cfg, seed=0), cfg)
+        blob = np.fromfile(tmp_path / "ck.bin", dtype="<f8")
+        blob[:-5].tofile(tmp_path / "ck.bin")  # ends inside read.bo, (8,)
+        with pytest.raises(ValueError, match="read.bo"):
+            net.load_checkpoint(tmp_path / "ck")
+
     def _edit_manifest(self, tmp_path, edit):
         cfg = net.ArchConfig(n_hidden=4, steps=1, knn_k=1).validate()
         net.save_checkpoint(tmp_path / "ck", net.init_params(cfg, seed=0), cfg)
