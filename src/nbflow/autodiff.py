@@ -13,7 +13,7 @@ the ``wrt`` vars and computes nothing else.  A node is *marked* if it is a
 ``wrt`` var or an operation (not a leaf, const or detach) with a marked
 parent; marks are computed once per (output, ``wrt`` set), so the d probe
 passes of a divergence share them, and only marked nodes get cotangents.
-A backward rule is ``fn(g, vals, parents, aux, want)``: ``want`` holds one
+A backward rule is ``fn(g, tape, parents, aux, want)``: ``want`` holds one
 bool per parent (is it marked?) and the rule returns ``None`` for unwanted
 parents (only multi-parent rules need to look).  Marked nodes get the same
 contributions in the same order as in an unpruned pass, so gradients are
@@ -31,6 +31,15 @@ sum over d adds d contiguous (R, C) slabs.  Sums take the order that
 tests check it): over d, slabs add onto +0.0 in index order (its order on
 a short trailing axis); over C, channels add one by one in index order
 (its order on a strided axis), not pairwise.
+
+Ops, rules and ``Tape.vjp``'s cotangent sums write into ``tape.empty``
+buffers: ``np.empty``, or an ``Arena``'s, which come back in the same
+order after each ``rewind``.  An arena belongs to one caller (a
+``flow.ModelField``), which sets it on its ``Program``; ``forward_eval``
+rewinds it before each tape, which invalidates the tapes recorded on it
+(``vjp`` on one raises).  Each reverse pass reuses the last one's
+buffers.  Arena memory never escapes: ``forward_eval`` and ``Tape.vjp``
+return copies.  Scatter-adds and small temporaries stay fresh arrays.
 
 Pass and visit counters live on the tape so callers can assert exact
 backward-pass counts.
@@ -53,13 +62,47 @@ def _as_f64(x):
     return np.asarray(x, dtype=np.float64)
 
 
+class Arena:
+    """Buffers handed out in ``empty`` call order, the same ones again after
+    each ``rewind``; ``scratch`` has a slot of its own, for a temporary
+    dead before the next.  A slot that a shape outgrows is replaced by one
+    an eighth larger than asked."""
+
+    __slots__ = ("slots", "pos", "epoch")
+
+    def __init__(self):
+        self.slots, self.pos, self.epoch = [np.empty(0)], 0, 0  # [0]: scratch
+
+    def _slot(self, k: int, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        if k == len(self.slots):
+            self.slots.append(np.empty(0))
+        if self.slots[k].size < size:
+            self.slots[k] = np.empty(size + size // 8)
+        return self.slots[k][:size].reshape(shape)
+
+    def empty(self, shape: tuple) -> np.ndarray:
+        self.pos += 1
+        return self._slot(self.pos, shape)
+
+    def scratch(self, shape: tuple) -> np.ndarray:
+        return self._slot(0, shape)
+
+    def rewind(self):
+        self.pos, self.epoch = 0, self.epoch + 1
+
+
 class Tape:
     """Eager record of array operations supporting vector-Jacobian products."""
 
     __slots__ = ("kinds", "parents", "aux", "vals", "n_reverse_visits",
-                 "n_reverse_passes", "_marks")
+                 "n_reverse_passes", "_marks", "arena", "epoch", "empty",
+                 "scratch")
 
-    def __init__(self):
+    def __init__(self, arena: Arena | None = None):
+        self.arena, self.epoch = arena, arena and arena.epoch
+        self.empty = np.empty if arena is None else arena.empty
+        self.scratch = np.empty if arena is None else arena.scratch
         self.kinds: list[str] = []
         self.parents: list[tuple[int, ...]] = []
         self.aux: list = []
@@ -67,6 +110,10 @@ class Tape:
         self.n_reverse_visits = 0
         self.n_reverse_passes = 0
         self._marks = None  # ((out, wrt ids), marks, wants) of the last vjp
+
+    def ufunc(self, f, *args) -> np.ndarray:
+        """f(*args) written into a buffer from ``empty``."""
+        return f(*args, out=self.empty(np.broadcast_shapes(*map(np.shape, args))))
 
     def __len__(self):
         return len(self.kinds)
@@ -94,6 +141,10 @@ class Tape:
         """
         if out.tape is not self:
             raise ValueError("output var belongs to a different tape")
+        arena = self.arena
+        if arena and arena.epoch != self.epoch:
+            raise RuntimeError("the tape's arena was rewound; its values are gone")
+        top = arena and arena.pos
         g = _as_f64(cotangent)
         if g.shape != self.vals[out.i].shape:
             raise ValueError(
@@ -115,20 +166,18 @@ class Tape:
             if i not in targets:
                 grads[i] = None
             ps = self.parents[i]
-            contribs = _BACKWARD[kind](gi, self.vals, ps, self.aux[i], wants[i])
+            contribs = _BACKWARD[kind](gi, self, ps, self.aux[i], wants[i])
             for p, gp in zip(ps, contribs):
                 if gp is None:
                     continue
                 if grads[p] is None:
                     grads[p] = gp
                 else:
-                    grads[p] = grads[p] + gp
-        result = []
-        for v in wrt:
-            if grads[v.i] is None:
-                result.append(np.zeros_like(self.vals[v.i]))
-            else:
-                result.append(grads[v.i])
+                    grads[p] = self.ufunc(np.add, grads[p], gp)
+        result = [np.zeros_like(self.vals[v.i]) if grads[v.i] is None
+                  else grads[v.i].copy() for v in wrt]
+        if arena:
+            arena.pos = top  # the next pass reuses this one's buffers
         return result
 
     def _mark(self, out: int, targets: frozenset):
@@ -183,16 +232,11 @@ class Var:
 def _binary(kind, a: Var, b: Var) -> Var:
     if a.tape is not b.tape:
         raise ValueError("operands live on different tapes")
-    fa, fb = a.value, b.value
-    if kind == "add":
-        v = fa + fb
-    elif kind == "sub":
-        v = fa - fb
-    elif kind == "mul":
-        v = fa * fb
-    else:
-        v = fa / fb
-    return a.tape._push(kind, (a.i, b.i), None, v)
+    return a.tape._push(kind, (a.i, b.i), None,
+                        a.tape.ufunc(_UFUNCS[kind], a.value, b.value))
+
+
+_UFUNCS = dict(add=np.add, sub=np.subtract, mul=np.multiply, div=np.divide)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -236,15 +280,23 @@ class _Scatter:
 
 def affine(x: Var, W: Var, b: Var) -> Var:
     """x @ W + b as one node; the product alone is never stored."""
-    v = x.value @ W.value
+    v = np.matmul(x.value, W.value, out=x.tape.empty(x.shape[:-1] + W.shape[1:]))
     v += b.value
     return x.tape._push("affine", (x.i, W.i, b.i), None, v)
 
 
+def _take(tape: Tape, a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """a[idx] for in-range idx (under mode="raise", np.take buffers out)."""
+    return np.take(a, idx, axis=0, mode="clip",
+                   out=tape.empty(idx.shape + a.shape[1:]))
+
+
 def gather(a: Var, idx: np.ndarray) -> Var:
     idx = np.asarray(idx, dtype=np.intp)
+    if idx.size and not 0 <= idx.min() <= idx.max() < len(a.value):
+        raise IndexError(f"gather index out of range for {len(a.value)} rows")
     return a.tape._push("gather", (a.i,), _Scatter(idx, len(a.value)),
-                        a.value[idx])
+                        _take(a.tape, a.value, idx))
 
 
 def segment_sum(a: Var, seg: np.ndarray, num_segments: int) -> Var:
@@ -266,7 +318,8 @@ def gather_sum(vs: list[Var], frm: np.ndarray, seg: np.ndarray,
 def concat(vs: list[Var], axis: int = 1) -> Var:
     tape = vs[0].tape
     sizes = [v.value.shape[axis] for v in vs]
-    val = np.concatenate([v.value for v in vs], axis=axis)
+    shape = vs[0].shape[:axis] + (sum(sizes),) + vs[0].shape[axis + 1:]
+    val = np.concatenate([v.value for v in vs], axis=axis, out=tape.empty(shape))
     return tape._push("concat", tuple(v.i for v in vs), (axis, sizes), val)
 
 
@@ -274,35 +327,35 @@ def slice_cols(a: Var, j0: int, j1: int) -> Var:
     return a.tape._push("slice", (a.i,), (j0, j1), a.value[:, j0:j1])
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below: exp only ever sees
-    # -|x|, so it never overflows
-    e = np.abs(x)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    out = np.where(x >= 0, 1.0, e)
-    e += 1.0
-    out /= e
-    return out
-
-
 def silu(a: Var) -> Var:
-    s = _sigmoid(a.value)
-    return a.tape._push("silu", (a.i,), s, a.value * s)
+    # sigmoid s = 1 / (1 + e) for x >= 0, e / (1 + e) below, e = exp(-|x|)
+    # (never overflows) held in v until v takes x * s
+    x, s, v = a.value, a.tape.empty(a.shape), a.tape.empty(a.shape)
+    np.exp(np.negative(np.abs(x, out=v), out=v), out=v)
+    np.copyto(s, v)
+    np.copyto(s, 1.0, where=x >= 0)
+    v += 1.0
+    s /= v
+    return a.tape._push("silu", (a.i,), s, np.multiply(x, s, out=v))
 
 
-def _dsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_k a[:, k] * b[:, k]: (R, d, C) -> (R, C), one slab at a time."""
-    tmp = a[:, 0] * b[:, 0]
-    out = tmp + 0.0
+def _dsum(tape: Tape, a: np.ndarray, b: np.ndarray,
+          plus0: bool = True) -> np.ndarray:
+    """sum_k a[:, k] * b[:, k]: (R, d, C) -> (R, C), one slab at a time.
+    The +0.0 it starts from only turns a -0.0 into +0.0, so callers whose
+    products are never -0.0 (squares) skip it with ``plus0=False``."""
+    out = tape.ufunc(np.multiply, a[:, 0], b[:, 0])
+    if plus0:
+        out += 0.0
+    tmp = tape.scratch(out.shape)
     for k in range(1, a.shape[1]):
         out += np.multiply(a[:, k], b[:, k], out=tmp)
     return out
 
 
-def _csum(a: np.ndarray) -> np.ndarray:
+def _csum(tape: Tape, a: np.ndarray) -> np.ndarray:
     """Sum over the trailing channel axis, one channel at a time."""
-    out = a[..., 0] + 0.0
+    out = tape.ufunc(np.add, a[..., 0], 0.0)
     for c in range(1, a.shape[-1]):
         out += a[..., c]
     return out
@@ -312,7 +365,7 @@ def channel_norm(a: Var) -> Var:
     """sqrt(sum over d of a^2 + eps), smooth at 0: (R, d, C) -> (R, C); an
     (R, d) array is one channel and gives (R, 1)."""
     x = a.value if a.value.ndim == 3 else a.value[:, :, None]
-    v = _dsum(x, x)
+    v = _dsum(a.tape, x, x, plus0=False)
     v += NORM_EPS
     np.sqrt(v, out=v)
     return a.tape._push("cnorm", (a.i,), v, v)
@@ -320,24 +373,24 @@ def channel_norm(a: Var) -> Var:
 
 def dot_last(a: Var, b: Var) -> Var:
     """Channel-wise inner product over d: (R, d, C) x (R, d, C) -> (R, C)."""
-    return a.tape._push("dotl", (a.i, b.i), None, _dsum(a.value, b.value))
+    return a.tape._push("dotl", (a.i, b.i), None, _dsum(a.tape, a.value, b.value))
 
 
 def scale_channels(v: Var, s: Var) -> Var:
     """v[r, :, c] * s[r, c] (or s[r, 0] broadcast across channels)."""
-    return v.tape._push("scalec", (v.i, s.i), None,
-                        v.value * s.value[:, None, :])
+    return v.tape._push("scalec", (v.i, s.i), None, v.tape.ufunc(
+        np.multiply, v.value, s.value[:, None, :]))
 
 
 def outer_rows(s: Var, u: Var) -> Var:
     """(R, C) x (R, d) -> (R, d, C) per-row outer product."""
-    return s.tape._push("outer", (s.i, u.i), None,
-                        u.value[:, :, None] * s.value[:, None, :])
+    return s.tape._push("outer", (s.i, u.i), None, s.tape.ufunc(
+        np.multiply, u.value[:, :, None], s.value[:, None, :]))
 
 
 def sum_channels(v: Var) -> Var:
     """(R, d, C) -> (R, d): sum over the channel axis."""
-    return v.tape._push("sumc", (v.i,), v.value.shape, _csum(v.value))
+    return v.tape._push("sumc", (v.i,), v.value.shape, _csum(v.tape, v.value))
 
 
 def sum_all(a: Var) -> Var:
@@ -348,7 +401,8 @@ def sum_all(a: Var) -> Var:
 def gauss_rbf(r: Var, centers: np.ndarray, gamma: float) -> Var:
     """Gaussian radial basis expansion of a (R,1) distance column."""
     centers = _as_f64(centers)
-    val = np.exp(-gamma * (r.value - centers) ** 2)
+    val = r.tape.ufunc(np.subtract, r.value, centers)
+    np.exp(np.multiply(-gamma, np.square(val, out=val), out=val), out=val)
     return r.tape._push("rbf", (r.i,), (centers, gamma, val), val)
 
 
@@ -378,115 +432,132 @@ def reshape(a: Var, shape) -> Var:
                         a.value.reshape(shape))
 
 
-# backward rules: fn(g, vals, parents, aux, want) -> per-parent gradients,
-# None for a parent whose ``want`` is False (see the module docstring)
+# backward rules: fn(g, tape, parents, aux, want) -> per-parent gradients
+# (values in tape.vals, buffers from tape.empty), None for a parent whose
+# ``want`` is False (see the module docstring)
 
-def _bw_add(g, vals, ps, aux, want):
-    return (_unbroadcast(g, vals[ps[0]].shape) if want[0] else None,
-            _unbroadcast(g, vals[ps[1]].shape) if want[1] else None)
-
-
-def _bw_sub(g, vals, ps, aux, want):
-    return (_unbroadcast(g, vals[ps[0]].shape) if want[0] else None,
-            _unbroadcast(-g, vals[ps[1]].shape) if want[1] else None)
+def _bw_add(g, tape, ps, aux, want):
+    return (_unbroadcast(g, tape.vals[ps[0]].shape) if want[0] else None,
+            _unbroadcast(g, tape.vals[ps[1]].shape) if want[1] else None)
 
 
-def _bw_mul(g, vals, ps, aux, want):
-    a, b = vals[ps[0]], vals[ps[1]]
-    return (_unbroadcast(g * b, a.shape) if want[0] else None,
-            _unbroadcast(g * a, b.shape) if want[1] else None)
+def _bw_sub(g, tape, ps, aux, want):
+    return (_unbroadcast(g, tape.vals[ps[0]].shape) if want[0] else None,
+            _unbroadcast(tape.ufunc(np.negative, g), tape.vals[ps[1]].shape)
+            if want[1] else None)
 
 
-def _bw_div(g, vals, ps, aux, want):
-    a, b = vals[ps[0]], vals[ps[1]]
-    return (_unbroadcast(g / b, a.shape) if want[0] else None,
-            _unbroadcast(-g * a / (b * b), b.shape) if want[1] else None)
+def _bw_mul(g, tape, ps, aux, want):
+    a, b = tape.vals[ps[0]], tape.vals[ps[1]]
+    return (_unbroadcast(tape.ufunc(np.multiply, g, b), a.shape) if want[0] else None,
+            _unbroadcast(tape.ufunc(np.multiply, g, a), b.shape) if want[1] else None)
 
 
-def _bw_affine(g, vals, ps, aux, want):
-    x, W, b = (vals[p] for p in ps)
-    return (g @ W.T if want[0] else None, x.T @ g if want[1] else None,
+def _bw_div(g, tape, ps, aux, want):
+    a, b = tape.vals[ps[0]], tape.vals[ps[1]]
+    if want[1]:
+        t = tape.ufunc(np.negative, g)
+        t *= a
+        t /= b * b
+    return (_unbroadcast(tape.ufunc(np.divide, g, b), a.shape) if want[0] else None,
+            _unbroadcast(t, b.shape) if want[1] else None)
+
+
+def _bw_affine(g, tape, ps, aux, want):
+    x, W, b = (tape.vals[p] for p in ps)
+    return (np.matmul(g, W.T, out=tape.empty(g.shape[:-1] + W.shape[:1]))
+            if want[0] else None,
+            np.matmul(x.T, g, out=tape.empty(W.shape)) if want[1] else None,
             _unbroadcast(g, b.shape) if want[2] else None)
 
 
-def _bw_gather(g, vals, ps, sc, want):  # also gsum's, with sc = M^T
+def _bw_gather(g, tape, ps, sc, want):  # also gsum's, with sc = M^T
     return (sc(g),)
 
 
-def _bw_segsum(g, vals, ps, sc, want):
-    return (g[sc.idx],)
+def _bw_segsum(g, tape, ps, sc, want):  # sc.idx was checked by its forward
+    return (_take(tape, g, sc.idx),)
 
 
-def _bw_concat(g, vals, ps, aux, want):
+def _bw_concat(g, tape, ps, aux, want):
     axis, sizes = aux
     parts = np.split(g, np.cumsum(sizes)[:-1], axis=axis)  # views of g
     return tuple(gp if w else None for gp, w in zip(parts, want))
 
 
-def _bw_slice(g, vals, ps, aux, want):
+def _bw_slice(g, tape, ps, aux, want):
     j0, j1 = aux
-    out = np.zeros_like(vals[ps[0]])
+    out = tape.empty(tape.vals[ps[0]].shape)
+    out[:, :j0] = out[:, j1:] = 0.0
     out[:, j0:j1] = g
     return (out,)
 
 
-def _bw_silu(g, vals, ps, s, want):
-    # g * (s * (1 + x * (1 - s))) on one temporary
-    t = 1.0 - s
-    t *= vals[ps[0]]
+def _bw_silu(g, tape, ps, s, want):
+    # g * (s * (1 + x * (1 - s))) on one buffer
+    t = tape.ufunc(np.subtract, 1.0, s)
+    t *= tape.vals[ps[0]]
     t += 1.0
     t *= s
     t *= g
     return (t,)
 
 
-def _bw_cnorm(g, vals, ps, n, want):
-    a = vals[ps[0]]
-    t = g[:, None, :] * (a if a.ndim == 3 else a[:, :, None])
+def _bw_cnorm(g, tape, ps, n, want):
+    a = tape.vals[ps[0]]
+    t = tape.ufunc(np.multiply, g[:, None, :], a if a.ndim == 3 else a[:, :, None])
     t /= n[:, None, :]
     return (t.reshape(a.shape),)
 
 
-def _bw_dotl(g, vals, ps, aux, want):
-    a, b = vals[ps[0]], vals[ps[1]]
-    return (g[:, None, :] * b if want[0] else None,
-            g[:, None, :] * a if want[1] else None)
+def _bw_dotl(g, tape, ps, aux, want):
+    a, b = tape.vals[ps[0]], tape.vals[ps[1]]
+    return (tape.ufunc(np.multiply, g[:, None, :], b) if want[0] else None,
+            tape.ufunc(np.multiply, g[:, None, :], a) if want[1] else None)
 
 
-def _bw_scalec(g, vals, ps, aux, want):
-    v, s = vals[ps[0]], vals[ps[1]]
-    return (g * s[:, None, :] if want[0] else None,
-            _unbroadcast(_dsum(g, v), s.shape) if want[1] else None)
+def _bw_scalec(g, tape, ps, aux, want):
+    v, s = tape.vals[ps[0]], tape.vals[ps[1]]
+    return (tape.ufunc(np.multiply, g, s[:, None, :]) if want[0] else None,
+            _unbroadcast(_dsum(tape, g, v), s.shape) if want[1] else None)
 
 
-def _bw_outer(g, vals, ps, aux, want):
-    s, u = vals[ps[0]], vals[ps[1]]
-    return (_dsum(g, u[:, :, None]) if want[0] else None,
-            _csum(g * s[:, None, :]) if want[1] else None)
+def _bw_outer(g, tape, ps, aux, want):
+    s, u = tape.vals[ps[0]], tape.vals[ps[1]]
+    gu = None
+    if want[1]:
+        # running sums over C in place, then the +0.0 that _csum starts
+        # from: bitwise _csum(g * s), with one pass over the product
+        t = np.multiply(g, s[:, None, :], out=tape.scratch(g.shape))
+        np.add.accumulate(t, axis=-1, out=t)
+        gu = tape.ufunc(np.add, t[..., -1], 0.0)
+    return (_dsum(tape, g, u[:, :, None]) if want[0] else None, gu)
 
 
-def _bw_sumc(g, vals, ps, shape, want):
-    return (np.broadcast_to(g[:, :, None], shape).copy(),)
+def _bw_sumc(g, tape, ps, shape, want):  # np.positive copies, -0.0 too
+    return (tape.ufunc(np.positive, np.broadcast_to(g[:, :, None], shape)),)
 
 
-def _bw_suma(g, vals, ps, shape, want):
-    return (np.full(shape, float(g)),)
+def _bw_suma(g, tape, ps, shape, want):
+    return (tape.ufunc(np.positive, np.broadcast_to(float(g), shape)),)
 
 
-def _bw_rbf(g, vals, ps, aux, want):
+def _bw_rbf(g, tape, ps, aux, want):
     centers, gamma, val = aux
-    r = vals[ps[0]]
-    return (np.sum(g * val * (-2.0 * gamma) * (r - centers),
-                   axis=1, keepdims=True),)
+    r = tape.vals[ps[0]]
+    t = tape.ufunc(np.multiply, g, val)
+    t *= -2.0 * gamma
+    t *= np.subtract(r, centers, out=tape.scratch(val.shape))
+    return (np.sum(t, axis=1, keepdims=True, out=tape.empty(r.shape)),)
 
 
-def _bw_segsoft(g, vals, ps, aux, want):
+def _bw_segsoft(g, tape, ps, aux, want):
     sc, a = aux
     ga = g[:, 0] * a
     return ((ga - a * sc(ga)[sc.idx])[:, None],)
 
 
-def _bw_reshape(g, vals, ps, orig_shape, want):
+def _bw_reshape(g, tape, ps, orig_shape, want):
     return (g.reshape(orig_shape),)
 
 
@@ -527,6 +598,7 @@ class Program:
     def __init__(self, build: Callable, n_in: int):
         self.build = build
         self.n_in = n_in
+        self.arena: Arena | None = None  # set by the caller to reuse buffers
         self.tape: Tape | None = None
         self.in_var: Var | None = None
         self.out_var: Var | None = None
@@ -539,17 +611,21 @@ class Program:
 
 
 def forward_eval(program: Program, x) -> np.ndarray:
-    """Run the program forward, caching intermediates for reverse passes."""
+    """Run the program forward, caching intermediates for reverse passes.
+
+    With an arena, the program's last tape is invalid from here on."""
     x = _as_f64(x)
     if x.size != program.n_in:
         raise ValueError(f"expected {program.n_in} inputs, got {x.size}")
-    tape = Tape()
+    if program.arena is not None:
+        program.arena.rewind()
+    tape = Tape(program.arena)
     program.tape = tape
     program.in_var, program.out_var = program.build(tape, x)
     out = program.out_var.value
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite program output")
-    return out
+    return out.copy()
 
 
 def vjp(program: Program, cotangent) -> np.ndarray:

@@ -50,11 +50,26 @@ def _fields(cls) -> set:
     return {f.name for f in dataclasses.fields(cls)}
 
 
-# allowed keys per section: its config class's fields, else its default keys
+# allowed keys per section: its config class's fields, else its default
+# keys; not train.seed, because the top-level seed is the one seed
 _SECTION_KEYS = {
     "system": _fields(boltzmann.SystemSpec), "model": _fields(net.ArchConfig),
-    "train": _fields(training.TrainConfig),
+    "train": _fields(training.TrainConfig) - {"seed"},
     **{sec: set(DEFAULT_CONFIG[sec]) for sec in ("sample", "mcmc", "bench")}}
+
+# section.key: (what its value must be, the test of it)
+_CHECKS = {
+    "sample.divergence_mode": (f"one of {', '.join(flow.DIVERGENCE_MODES)}",
+                               lambda v: v in flow.DIVERGENCE_MODES),
+    **{key: ("an integer >= 1", lambda v: int(v) >= 1) for key in (
+        "sample.count", "sample.batch_size", "sample.integrator_steps",
+        "mcmc.n_samples", "mcmc.thin", "bench.k", "bench.steps",
+        "bench.n_hidden")},
+    "mcmc.burn_in": ("an integer >= 0", lambda v: int(v) >= 0),
+    "mcmc.step_size": ("a number > 0", lambda v: float(v) > 0),
+    "bench.d": ("2 or 3", lambda v: int(v) in (2, 3)),
+    "bench.repeats": ("an integer >= 3", lambda v: int(v) >= 3),
+}
 
 
 def _check_keys(section: dict, allowed: set, where: str):
@@ -75,15 +90,14 @@ def validate_config(cfg: dict) -> dict:
         merged[sec].update(part)
     merged["seed"] = int(cfg.get("seed", merged["seed"]))
     merged["out_dir"] = cfg.get("out_dir", merged["out_dir"])
-    if merged["sample"]["divergence_mode"] not in flow.DIVERGENCE_MODES:
-        raise ConfigError("unknown key value sample.divergence_mode")
-    for key in ("count", "batch_size", "integrator_steps"):
+    for path, (what, test) in _CHECKS.items():
+        sec, key = path.split(".")
         try:
-            bad = int(merged["sample"][key]) < 1
+            ok = test(merged[sec][key])
         except (TypeError, ValueError):
-            bad = True
-        if bad:
-            raise ConfigError(f"sample.{key} must be an integer >= 1")
+            ok = False
+        if not ok:
+            raise ConfigError(f"{path} must be {what}")
     return merged
 
 
@@ -188,7 +202,7 @@ def cmd_generate_data(cfg, out_dir, quiet):
 def cmd_train(cfg, out_dir, quiet, data_path=None):
     arch = _arch_config(cfg)
     try:
-        tc = training.TrainConfig(**{**cfg["train"], "seed": cfg["seed"]})
+        tc = training.TrainConfig(**cfg["train"], seed=cfg["seed"])
         tc.validate()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid train config: {exc}") from exc

@@ -86,7 +86,7 @@ def _check_mode(cfg: net.ArchConfig, mode: str):
 
 def field_and_divergence(params, cfg: net.ArchConfig, x, Z=None,
                          t: float = 0.0, mode: str = "hollow",
-                         graph_override=None):
+                         graph_override=None, arena: ad.Arena | None = None):
     """Velocity and exact divergence of the field for a (B, n, d) batch.
 
     Returns (velocity (B, n, d), divergence (B,), stats); ``stats`` holds
@@ -95,6 +95,8 @@ def field_and_divergence(params, cfg: net.ArchConfig, x, Z=None,
     evaluate the batch as one program and read its diagonal with d or n*d
     probe passes; fd evaluates one program per sample, with that sample's
     labels, time and graph override, and differentiates it numerically.
+    Every tape is recorded on ``arena`` (a fresh one by default), which
+    this call rewinds; the arrays returned are not arena memory.
     """
     _check_mode(cfg, mode)
     x = np.asarray(x, dtype=np.float64)
@@ -110,11 +112,13 @@ def field_and_divergence(params, cfg: net.ArchConfig, x, Z=None,
     stats = {"reverse_passes": 0, "seconds_forward": 0.0,
              "seconds_divergence": 0.0}
     vel, diag = [], []
+    arena = ad.Arena() if arena is None else arena
     for xc, Zc, tc, goc in chunks:
         t0 = time.perf_counter()
         prog = net.make_field_program(params, cfg, n, d, Z=Zc, t=tc,
                                       batch=len(xc), graph_override=goc,
                                       detach_conditioner=(mode == "hollow"))
+        prog.arena = arena
         vel.append(ad.forward_eval(prog, xc.reshape(-1)))
         t1 = time.perf_counter()
         if mode == "fd":
@@ -150,7 +154,8 @@ def divergence(params, cfg: net.ArchConfig, x, Z=None, t: float = 0.0,
 
 
 class ModelField:
-    """Joint velocity/divergence evaluator that adds up timings and passes."""
+    """Joint velocity/divergence evaluator that adds up timings and passes;
+    its one ``autodiff.Arena`` holds the tape buffers of every stage."""
 
     def __init__(self, params, cfg: net.ArchConfig, Z=None,
                  mode: str = "hollow", graph_override=None):
@@ -163,12 +168,13 @@ class ModelField:
         self.seconds_forward = 0.0
         self.seconds_divergence = 0.0
         self.reverse_passes = 0
+        self.arena = ad.Arena()
 
     def rate(self, x, t):
         """(velocity, divergence) at one time point for a (B,n,d) batch."""
         vel, div, stats = field_and_divergence(
             self.params, self.cfg, x, self.Z, t, self.mode,
-            self.graph_override)
+            self.graph_override, self.arena)
         self.seconds_forward += stats["seconds_forward"]
         self.seconds_divergence += stats["seconds_divergence"]
         self.reverse_passes += stats["reverse_passes"]
@@ -278,12 +284,11 @@ def sample_with_likelihood(params, cfg: net.ArchConfig, prior: GaussianPrior,
     rng = np.random.default_rng(seed)
     xs, l0s, dls, jumps = [], [], [], []
     t_start = time.perf_counter()
-    fields = []
+    mf = ModelField(params, cfg, Z=Z, mode=mode)  # one arena for all batches
     remaining = count
     while remaining > 0:
         b = min(batch_size, remaining)
         x0 = prior.sample(rng, b)
-        mf = ModelField(params, cfg, Z=Z, mode=mode)
         state = rk4_integrate(mf.rate, x0, steps, "forward")
         x1 = state.x
         if cfg.pairwise_diff and prior.mean_free:
@@ -292,7 +297,6 @@ def sample_with_likelihood(params, cfg: net.ArchConfig, prior: GaussianPrior,
         l0s.append(prior.log_density(x0))
         dls.append(state.delta_logrho)
         jumps.append(state.max_divergence_jump)
-        fields.append(mf)
         remaining -= b
     rt = time.perf_counter() - t_start
     x = np.concatenate(xs)
@@ -301,8 +305,7 @@ def sample_with_likelihood(params, cfg: net.ArchConfig, prior: GaussianPrior,
     return SampleRun(
         x=x, logrho1=logrho0 + delta, logrho0=logrho0, delta_logrho=delta,
         mode=mode, steps=steps, seed=seed, rt=rt,
-        rt_forward=sum(f.seconds_forward for f in fields),
-        rt_divergence=sum(f.seconds_divergence for f in fields),
-        reverse_passes=sum(f.reverse_passes for f in fields),
+        rt_forward=mf.seconds_forward, rt_divergence=mf.seconds_divergence,
+        reverse_passes=mf.reverse_passes,
         max_divergence_jump=max(jumps) if jumps else 0.0,
     )

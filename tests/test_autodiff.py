@@ -121,6 +121,63 @@ class TestVjp:
         assert tape.n_reverse_visits - before <= len(tape)
 
 
+class TestArena:
+    """Tapes recorded on an ``Arena``: the same results as fresh tapes,
+    and no arena memory in what the tape hands back."""
+
+    def setup_method(self):
+        self.prog, _ = random_hollow_program(6, 3, seed=4, pairwise_diff=True)
+        self.fresh, _ = random_hollow_program(6, 3, seed=4, pairwise_diff=True)
+        self.prog.arena = ad.Arena()
+        rng = np.random.default_rng(5)
+        self.xs = [rng.standard_normal(18) for _ in range(3)]
+        self.probes = ad.probe_vectors(6, 3)
+
+    def test_repeated_evaluations_match_fresh_tapes(self):
+        arena = self.prog.arena
+        for x in self.xs:
+            out = ad.forward_eval(self.prog, x)
+            diag = ad.jacobian_diagonal(self.prog, self.probes)
+            (g,) = self.prog.tape.vjp(self.prog.out_var, x, [self.prog.in_var])
+            ref = ad.forward_eval(self.fresh, x)
+            assert out.tobytes() == ref.tobytes()
+            assert diag.tobytes() == ad.jacobian_diagonal(
+                self.fresh, self.probes).tobytes()
+            assert g.tobytes() == ad.vjp(self.fresh, x).tobytes()
+            for a in (out, diag, g):
+                assert not any(np.shares_memory(a, slot)
+                               for slot in arena.slots)
+        assert self.prog.tape.arena is arena and self.fresh.tape.arena is None
+
+    def test_vjp_on_a_rewound_tape_raises(self):
+        ad.forward_eval(self.prog, self.xs[0])
+        tape, out, x = self.prog.tape, self.prog.out_var, self.prog.in_var
+        ad.forward_eval(self.prog, self.xs[1])  # rewinds: tape is gone
+        with pytest.raises(RuntimeError, match="rewound"):
+            tape.vjp(out, self.probes[0], [x])
+        self.prog.arena.rewind()
+        with pytest.raises(RuntimeError, match="rewound"):
+            ad.vjp(self.prog, self.probes[0])
+
+    def test_outputs_outlive_the_next_evaluation(self):
+        prog = square_program()  # its output is an arena buffer
+        prog.arena = ad.Arena()
+        out = ad.forward_eval(prog, [3.0])
+        assert ad.forward_eval(prog, [4.0]) == 16.0 and out == 9.0
+        assert ad.vjp(prog, [1.0]) == 8.0
+
+    def test_passes_reuse_one_set_of_buffers(self):
+        arena = self.prog.arena
+        ad.forward_eval(self.prog, self.xs[0])
+        top = arena.pos
+        ad.vjp(self.prog, self.probes[0])
+        slots = list(arena.slots)
+        for probe in self.probes[1:]:
+            ad.vjp(self.prog, probe)
+            assert arena.pos == top
+            assert all(a is b for a, b in zip(arena.slots, slots, strict=True))
+
+
 class TestProbeVectors:
     def test_invariants(self):
         vs = ad.probe_vectors(n=5, d=3)
@@ -336,10 +393,10 @@ class TestPrunedReversePass:
         ps = tape.parents[out.i]
         g = rng.standard_normal(out.shape)
         rule = ad._BACKWARD[kind]
-        full = rule(g, tape.vals, ps, tape.aux[out.i], (True,) * len(ps))
+        full = rule(g, tape, ps, tape.aux[out.i], (True,) * len(ps))
         for j in range(len(ps)):
             want = tuple(k != j for k in range(len(ps)))
-            part = rule(g, tape.vals, ps, tape.aux[out.i], want)
+            part = rule(g, tape, ps, tape.aux[out.i], want)
             assert part[j] is None
             for k in range(len(ps)):
                 if k != j:
@@ -370,9 +427,9 @@ class TestPrunedReversePass:
         node_of = {id(ps): i for i, ps in enumerate(tape.parents)}
         ran, rule = [], ad._BACKWARD["gsum"]
 
-        def spy(g, vals, ps, aux, want):
+        def spy(g, tape, ps, aux, want):
             ran.append(node_of[id(ps)])
-            return rule(g, vals, ps, aux, want)
+            return rule(g, tape, ps, aux, want)
         monkeypatch.setitem(ad._BACKWARD, "gsum", spy)
         ad.vjp(prog, ad.probe_vectors(6, 2)[0])
         assert sorted(ran) == fused
@@ -400,9 +457,9 @@ class TestPrunedReversePass:
         node_of = {id(ps): i for i, ps in enumerate(parents)}
         ran = []
         for kind, rule in list(ad._BACKWARD.items()):
-            def spy(g, vals, ps, aux, want, _rule=rule):
+            def spy(g, tape, ps, aux, want, _rule=rule):
                 ran.append(node_of[id(ps)])
-                return _rule(g, vals, ps, aux, want)
+                return _rule(g, tape, ps, aux, want)
             monkeypatch.setitem(ad._BACKWARD, kind, spy)
         for probe in ad.probe_vectors(6, 2):
             before, ran[:] = tape.n_reverse_visits, []
@@ -427,19 +484,34 @@ def awkward(rng, shape):
     return a
 
 
-def run_op(op, *args):
-    """An op's value and its rule's gradients for a random cotangent."""
-    tape = ad.Tape()
-    out = op(*(tape.leaf(a) for a in args))
-    g = awkward(np.random.default_rng(1), out.shape)
-    i = out.i
-    grads = ad._BACKWARD[tape.kinds[i]](g, tape.vals, tape.parents[i],
-                                        tape.aux[i], (True,) * len(args))
+def run_op(op, *args, arena=None):
+    """An op's value and its rule's gradients for a random cotangent.
+
+    With an arena, the op and its rule run twice; before the second run
+    every arena buffer is filled with NaN, so no output may rely on what
+    a buffer held.
+    """
+    for _ in range(1 if arena is None else 2):
+        if arena is not None:
+            arena.rewind()
+            for slot in arena.slots:
+                slot.fill(np.nan)
+        tape = ad.Tape(arena)
+        out = op(*(tape.leaf(a) for a in args))
+        g = awkward(np.random.default_rng(1), out.shape)
+        i = out.i
+        grads = ad._BACKWARD[tape.kinds[i]](g, tape, tape.parents[i],
+                                            tape.aux[i], (True,) * len(args))
     return out.value, g, grads
 
 
 def same_bits(got, ref):
     return got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def sigmoid(x):
+    tape = ad.Tape()
+    return tape.aux[ad.silu(tape.leaf(x)).i]
 
 
 def two_branch_sigmoid(x):
@@ -484,41 +556,58 @@ class TestKernels:
     def test_layout_ops_match_channel_major_formulas(self, R, C, d):
         rng = np.random.default_rng(C + d)
         a, b = awkward(rng, (R, d, C)), awkward(rng, (R, d, C))
+        a[:1], b[:1] = -0.0, np.abs(b[:1]) + 1.0  # a row of -0.0 products
         ao, bo = channel_major(a), channel_major(b)
         u = awkward(rng, (R, d))
         eps = ad.NORM_EPS
+        # tapes without an arena, and on an arena's reused buffers; the
+        # sums of channel_norm and of outer's u-gradient keep +0.0 for -0.0
+        for arena in (None, ad.Arena()):
+            def op(*args):
+                return run_op(*args, arena=arena)
 
-        v, g, (ga,) = run_op(ad.channel_norm, a)
-        assert same_bits(v, np.sqrt(np.sum(ao * ao, axis=-1) + eps))
-        assert same_bits(ga, np.swapaxes(g[..., None] * ao / v[..., None], 1, 2))
-        v, g, (gu,) = run_op(ad.channel_norm, u)  # (R, d) rows: one channel
-        assert same_bits(v, np.sqrt(np.sum(u * u, axis=-1, keepdims=True) + eps))
-        assert same_bits(gu, g * u / v)
+            v, g, (ga,) = op(ad.channel_norm, a)
+            assert same_bits(v, np.sqrt(np.sum(ao * ao, axis=-1) + eps))
+            assert same_bits(ga, np.swapaxes(g[..., None] * ao / v[..., None],
+                                             1, 2))
+            v, g, (gu,) = op(ad.channel_norm, u)  # (R, d) rows: one channel
+            assert same_bits(v, np.sqrt(np.sum(u * u, axis=-1, keepdims=True)
+                                        + eps))
+            assert same_bits(gu, g * u / v)
 
-        v, g, (ga, gb) = run_op(ad.dot_last, a, b)
-        assert same_bits(v, np.sum(ao * bo, axis=-1))
-        assert same_bits(ga, np.swapaxes(g[..., None] * bo, 1, 2))
-        assert same_bits(gb, np.swapaxes(g[..., None] * ao, 1, 2))
+            v, g, (ga, gb) = op(ad.dot_last, a, b)
+            assert same_bits(v, np.sum(ao * bo, axis=-1))
+            assert same_bits(ga, np.swapaxes(g[..., None] * bo, 1, 2))
+            assert same_bits(gb, np.swapaxes(g[..., None] * ao, 1, 2))
 
-        for s in (awkward(rng, (R, C)), awkward(rng, (R, 1))):
-            v, g, (ga, gs) = run_op(ad.scale_channels, a, s)
+            for s in (awkward(rng, (R, C)), awkward(rng, (R, 1))):
+                v, g, (ga, gs) = op(ad.scale_channels, a, s)
+                go = channel_major(g)
+                assert same_bits(v, np.swapaxes(ao * s[..., None], 1, 2))
+                assert same_bits(ga, np.swapaxes(go * s[..., None], 1, 2))
+                assert same_bits(gs, ad._unbroadcast(
+                    np.sum(go * ao, axis=-1), s.shape))
+
+            s = awkward(rng, (R, C))
+            v, g, (gs, gu) = op(ad.outer_rows, s, u)
             go = channel_major(g)
-            assert same_bits(v, np.swapaxes(ao * s[..., None], 1, 2))
-            assert same_bits(ga, np.swapaxes(go * s[..., None], 1, 2))
-            assert same_bits(gs, ad._unbroadcast(np.sum(go * ao, axis=-1),
-                                                 s.shape))
+            assert same_bits(v, np.swapaxes(s[:, :, None] * u[:, None, :],
+                                            1, 2))
+            assert same_bits(gs, np.sum(go * u[:, None, :], axis=-1))
+            assert same_bits(gu, np.sum(go * s[:, :, None], axis=1))
 
-        s = awkward(rng, (R, C))
-        v, g, (gs, gu) = run_op(ad.outer_rows, s, u)
-        go = channel_major(g)
-        assert same_bits(v, np.swapaxes(s[:, :, None] * u[:, None, :], 1, 2))
-        assert same_bits(gs, np.sum(go * u[:, None, :], axis=-1))
-        assert same_bits(gu, np.sum(go * s[:, :, None], axis=1))
+            v, g, (ga,) = op(ad.sum_channels, a)
+            assert same_bits(v, np.sum(ao, axis=1))
+            assert same_bits(ga, np.swapaxes(
+                np.broadcast_to(g[:, None, :], ao.shape), 1, 2))
 
-        v, g, (ga,) = run_op(ad.sum_channels, a)
-        assert same_bits(v, np.sum(ao, axis=1))
-        assert same_bits(ga, np.swapaxes(
-            np.broadcast_to(g[:, None, :], ao.shape), 1, 2))
+    def test_gather_rejects_out_of_range_rows(self):
+        tape = ad.Tape()
+        a = tape.leaf(np.ones((3, 2)))
+        for idx in ([0, 3], [-1, 0]):
+            with pytest.raises(IndexError, match="3 rows"):
+                ad.gather(a, idx)
+        assert ad.gather(a, []).shape == (0, 2)
 
     @given(source=st.sampled_from(["gaussian", "lattice", "coincident",
                                    "random"]),
@@ -580,7 +669,7 @@ class TestKernels:
                    np.nan]
         x = np.concatenate([special, rng.standard_normal(500) * 30,
                             rng.uniform(-700, 700, 500)])
-        s, ref = ad._sigmoid(x), two_branch_sigmoid(x)
+        s, ref = sigmoid(x), two_branch_sigmoid(x)
         nan = np.isnan(ref)
         np.testing.assert_array_equal(np.isnan(s), nan)
         assert s[~nan].tobytes() == ref[~nan].tobytes()
@@ -590,6 +679,8 @@ class TestKernels:
         x = np.concatenate([[0.0, -0.0, 700.0, -700.0, 800.0, -800.0],
                             rng.standard_normal(500) * 30])
         g = rng.standard_normal(x.shape)
-        s = ad._sigmoid(x)
-        (got,) = ad._BACKWARD["silu"](g, [x], (0,), s, (True,))
+        s = sigmoid(x)
+        tape = ad.Tape()
+        tape.leaf(x)
+        (got,) = ad._BACKWARD["silu"](g, tape, (0,), s, (True,))
         assert got.tobytes() == (g * (s * (1.0 + x * (1.0 - s)))).tobytes()

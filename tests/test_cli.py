@@ -55,6 +55,27 @@ class TestConfigValidation:
                     "--set", "system.n=3", "--set", f"sample.{key}=0"]) == 1
         assert f"sample.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("bench", "bench.repeats", 2), ("bench", "bench.k", 0),
+        ("bench", "bench.d", 4), ("generate-data", "mcmc.thin", 0),
+        ("generate-data", "mcmc.burn_in", -1),
+        ("generate-data", "mcmc.step_size", 0)])
+    def test_bench_and_mcmc_values_name_key(self, tmp_path, capsys, command,
+                                            key, value):
+        assert run([command, "--out", tmp_path, "--quiet",
+                    "--set", f"{key}={value}"]) == 1
+        assert key in capsys.readouterr().err
+
+    def test_train_seed_is_rejected(self, tmp_path, capsys):
+        # the top-level seed is the one seed; train.seed used to be ignored
+        x = np.random.default_rng(0).standard_normal((8, 3, 2))
+        training.save_data_csv(tmp_path / "data.csv", x)
+        assert run(["train", "--out", tmp_path, "--quiet",
+                    "--set", "system.n=3", "--set", "model.n_hidden=4",
+                    "--set", "model.knn_k=2", "--set", "train.epochs=1",
+                    "--set", "train.seed=5"]) == 1
+        assert "train.seed" in capsys.readouterr().err
+
     def test_runtime_failure_exit_code(self, tmp_path):
         # bench requires >= 4 sweep points
         assert run(["bench", "--out", tmp_path, "--set",

@@ -261,6 +261,108 @@ class TestPrunedReversePassProperties:
             assert g.tobytes() == grads[name].tobytes()
 
 
+def fresh_rate(params, cfg, Z, mode, log):
+    """The RK4 rate from tapes without an arena; the oracle for ModelField."""
+    def rate(x, t):
+        B, n, d = x.shape
+        prog = net.make_field_program(params, cfg, n, d, Z=Z, t=t, batch=B,
+                                      detach_conditioner=(mode == "hollow"))
+        vel = ad.forward_eval(prog, x.reshape(-1)).reshape(B, n, d)
+        probes = (ad.probe_vectors(B * n, d) if mode == "hollow"
+                  else ad.probe_vectors(B, n * d))
+        div = ad.jacobian_diagonal(prog, probes).reshape(B, -1).sum(axis=1)
+        log.append((x.copy(), vel, div))
+        return vel, div
+    return rate
+
+
+def logged(rate, log):
+    def logged_rate(x, t):
+        vel, div = rate(x, t)
+        log.append((x.copy(), vel, div))
+        return vel, div
+    return logged_rate
+
+
+def integrate_both(params, cfg, Z, mode, x, steps):
+    """ModelField's integration and the fresh-tape one, checked bitwise
+    stage by stage; returns the ModelField and the stage inputs."""
+    mf = flow.ModelField(params, cfg, Z=Z, mode=mode)
+    got, ref = [], []
+    s1 = flow.rk4_integrate(logged(mf.rate, got), x, steps)
+    s2 = flow.rk4_integrate(fresh_rate(params, cfg, Z, mode, ref), x, steps)
+    assert s1.x.tobytes() == s2.x.tobytes()
+    assert s1.delta_logrho.tobytes() == s2.delta_logrho.tobytes()
+    assert len(got) == len(ref) == 4 * steps
+    for (xa, va, da), (xb, vb, db) in zip(got, ref):
+        assert (xa.tobytes(), va.tobytes(), da.tobytes()) == (
+            xb.tobytes(), vb.tobytes(), db.tobytes())
+        for a in (va, da):
+            assert not any(np.shares_memory(a, slot) for slot in mf.arena.slots)
+    return mf, [xa for xa, _, _ in got]
+
+
+class TestModelFieldArena:
+    """ModelField records every stage on one arena, whose buffers hold the
+    last stage's values; its results must be those of fresh tapes."""
+
+    @given(**FIELD_CASES, mode=st.sampled_from(["hollow", "brute"]),
+           steps=st.integers(1, 2))
+    def test_stages_match_fresh_tapes(self, mode, steps, **case):
+        cfg, params, x, Z, _, _ = random_field(**case)
+        integrate_both(params, cfg, Z, mode, x, steps)
+
+    @pytest.mark.parametrize("mode", ["hollow", "brute"])
+    def test_topology_changes_between_stages(self, mode):
+        cfg = net.ArchConfig(n_hidden=8, steps=2, knn_k=3,
+                             pairwise_diff=True).validate()
+        params = net.init_params(cfg, seed=8)
+        params["read.Wo"] *= 3.0  # a faster field: more kNN switches
+        x = np.random.default_rng(4).standard_normal((3, 9, 3))
+        _, xs = integrate_both(params, cfg, None, mode, x, steps=3)
+        # edges E and line-graph triples T per stage: both grow and shrink
+        sizes = [(len(hp.src), len(hp.init_from)) for hp in
+                 (net.make_plan(xa, cfg).heads[0] for xa in xs)]
+        for k in (0, 1):
+            steps = np.diff([size[k] for size in sizes])
+            assert np.any(steps > 0) and np.any(steps < 0)
+
+    def test_fd_mode_matches_fresh_programs(self):
+        cfg = net.ArchConfig(n_hidden=5, steps=2, knn_k=2, n_types=2).validate()
+        params = net.init_params(cfg, seed=6)
+        x = np.random.default_rng(7).standard_normal((2, 4, 2))
+        Z = np.array([[0, 1, 1, 0], [1, 0, 0, 1]])
+        arena = ad.Arena()
+        vel, div, _ = flow.field_and_divergence(params, cfg, x, Z, 0.3, "fd",
+                                                arena=arena)
+        ref_vel, ref_diag = [], []
+        for s in range(2):  # one program per sample, as fd mode evaluates
+            prog = net.make_field_program(params, cfg, 4, 2, Z=Z[s], t=0.3)
+            ref_vel.append(ad.forward_eval(prog, x[s].reshape(-1)))
+            ref_diag.append(np.diag(ad.full_jacobian_fd(
+                lambda v: ad.forward_eval(prog, v), x[s].reshape(-1))))
+        assert vel.tobytes() == np.concatenate(ref_vel).reshape(x.shape).tobytes()
+        assert div.tobytes() == np.concatenate(ref_diag).reshape(
+            2, -1).sum(axis=1).tobytes()
+        assert not any(np.shares_memory(a, slot) for a in (vel, div)
+                       for slot in arena.slots)
+
+    def test_later_stages_allocate_no_slot(self):
+        # a fixed graph keeps every shape, so later stages reuse the slots
+        cfg = net.ArchConfig(n_hidden=6, steps=2, knn_k=2).validate()
+        params = net.init_params(cfg, seed=8)
+        x = np.random.default_rng(9).standard_normal((2, 5, 2))
+        override = [[gt.build_knn_graph(x[s], 2)] for s in range(2)]
+        mf = flow.ModelField(params, cfg, graph_override=override)
+        mf.rate(x, 0.0)
+        slots = list(mf.arena.slots)
+        for t in (0.25, 0.5, 1.0):
+            mf.rate(x * (1.0 + t), t)
+            assert all(a is b for a, b in zip(mf.arena.slots, slots,
+                                              strict=True))
+        assert mf.reverse_passes == 4 * 2
+
+
 class TestSampleWithLikelihood:
     def test_zero_field_keeps_prior_density(self):
         cfg = net.ArchConfig(n_hidden=4, steps=1, knn_k=2).validate()
