@@ -33,13 +33,22 @@ a short trailing axis); over C, channels add one by one in index order
 (its order on a strided axis), not pairwise.
 
 Ops, rules and ``Tape.vjp``'s cotangent sums write into ``tape.empty``
-buffers: ``np.empty``, or an ``Arena``'s, which come back in the same
-order after each ``rewind``.  An arena belongs to one caller (a
-``flow.ModelField``), which sets it on its ``Program``; ``forward_eval``
-rewinds it before each tape, which invalidates the tapes recorded on it
-(``vjp`` on one raises).  Each reverse pass reuses the last one's
-buffers.  Arena memory never escapes: ``forward_eval`` and ``Tape.vjp``
-return copies.  Scatter-adds and small temporaries stay fresh arrays.
+buffers: ``np.empty`` on a tape without an arena, else buffers of the
+process-wide pool ``POOL`` (an ``Arena``), on which sampling
+(``flow.field_and_divergence``) and CFM training (``training``) record
+their tapes.  Every new tape on the pool rewinds it, which takes back all
+its buffers and invalidates the tapes recorded on it before (``vjp`` on
+one raises).  A reverse pass counts the cotangents on each array (a view
+holds its base): it adds in place into an array that one cotangent alone
+holds, and gives a pool buffer (a cotangent or an unreturned rule
+temporary) back once nothing holds it.  A tape's last pass
+(``vjp(..., consume=True)``, training's only one) also gives back each
+forward value once the pass is below its node, since only nodes >= i
+read ``vals[i]``; the tape is spent after it.  Pool memory never
+escapes: ``forward_eval`` and ``Tape.vjp`` return copies.  The pool keeps
+the largest set of buffers one operation needed until the process exits,
+and it assumes one thread.  Arrays under 128 KiB and scatter-adds stay
+fresh arrays; ``scratch`` temporaries share one buffer of their own.
 
 Pass and visit counters live on the tape so callers can assert exact
 backward-pass counts.
@@ -47,6 +56,7 @@ backward-pass counts.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -63,57 +73,89 @@ def _as_f64(x):
 
 
 class Arena:
-    """Buffers handed out in ``empty`` call order, the same ones again after
-    each ``rewind``; ``scratch`` has a slot of its own, for a temporary
-    dead before the next.  A slot that a shape outgrows is replaced by one
-    an eighth larger than asked."""
+    """A pool of flat float64 buffers.  ``empty`` hands out the smallest
+    free buffer that fits, as a view of the asked shape; with none, it makes
+    one an eighth larger than asked, which replaces the largest free buffer
+    (too small) if there is one.  ``give`` takes a buffer back, ``rewind``
+    takes back all of them.  ``scratch`` has a buffer of its own, for a
+    temporary dead before the next.  ``log`` lists the buffers handed out
+    since a tape last read it."""
 
-    __slots__ = ("slots", "pos", "epoch")
+    __slots__ = ("bufs", "free", "log", "epoch", "tmp")
+    small = 16384  # float64s in 128 KiB, glibc's default mmap threshold
 
     def __init__(self):
-        self.slots, self.pos, self.epoch = [np.empty(0)], 0, 0  # [0]: scratch
-
-    def _slot(self, k: int, shape: tuple) -> np.ndarray:
-        size = math.prod(shape)
-        if k == len(self.slots):
-            self.slots.append(np.empty(0))
-        if self.slots[k].size < size:
-            self.slots[k] = np.empty(size + size // 8)
-        return self.slots[k][:size].reshape(shape)
+        self.bufs: dict[int, np.ndarray] = {}  # id -> every buffer it owns
+        self.free: list[np.ndarray] = []  # sorted by size
+        self.log: list[np.ndarray] = []
+        self.epoch = 0
+        self.tmp = np.empty(0)
 
     def empty(self, shape: tuple) -> np.ndarray:
-        self.pos += 1
-        return self._slot(self.pos, shape)
+        size = math.prod(shape)
+        if size < self.small:  # malloc reuses its heap with no page faults
+            return np.empty(shape)
+        k = bisect.bisect_left(self.free, size, key=len)
+        if k < len(self.free):
+            buf = self.free.pop(k)
+        else:
+            if self.free:
+                del self.bufs[id(self.free.pop())]
+            buf = np.empty(size + size // 8)
+            self.bufs[id(buf)] = buf
+        self.log.append(buf)
+        return buf[:size].reshape(shape)
+
+    def give(self, buf: np.ndarray):
+        bisect.insort(self.free, buf, key=len)
 
     def scratch(self, shape: tuple) -> np.ndarray:
-        return self._slot(0, shape)
+        size = math.prod(shape)
+        if self.tmp.size < size:
+            self.tmp = np.empty(size + size // 8)
+        return self.tmp[:size].reshape(shape)
 
     def rewind(self):
-        self.pos, self.epoch = 0, self.epoch + 1
+        self.free = sorted(self.bufs.values(), key=len)
+        self.log.clear()
+        self.epoch += 1
+
+
+POOL = Arena()  # the one pool of the process (see the module docstring)
+
+
+def _base(a: np.ndarray) -> np.ndarray:
+    """The array that owns a's memory (numpy collapses chains of views)."""
+    return a if a.base is None else a.base
 
 
 class Tape:
     """Eager record of array operations supporting vector-Jacobian products."""
 
-    __slots__ = ("kinds", "parents", "aux", "vals", "n_reverse_visits",
-                 "n_reverse_passes", "_marks", "arena", "epoch", "empty",
-                 "scratch")
+    __slots__ = ("kinds", "parents", "aux", "vals", "owned", "n_reverse_visits",
+                 "n_reverse_passes", "_marks", "arena", "epoch", "log",
+                 "spent", "empty", "scratch")
 
     def __init__(self, arena: Arena | None = None):
+        if arena is not None:
+            arena.rewind()
         self.arena, self.epoch = arena, arena and arena.epoch
+        self.log = [] if arena is None else arena.log
         self.empty = np.empty if arena is None else arena.empty
         self.scratch = np.empty if arena is None else arena.scratch
         self.kinds: list[str] = []
         self.parents: list[tuple[int, ...]] = []
         self.aux: list = []
         self.vals: list[np.ndarray] = []
+        self.owned: list[tuple] = []  # per node: the arena buffers it made
         self.n_reverse_visits = 0
         self.n_reverse_passes = 0
+        self.spent = False
         self._marks = None  # ((out, wrt ids), marks, wants) of the last vjp
 
     def ufunc(self, f, *args) -> np.ndarray:
         """f(*args) written into a buffer from ``empty``."""
-        return f(*args, out=self.empty(np.broadcast_shapes(*map(np.shape, args))))
+        return f(*args, out=self.empty(np.broadcast(*args).shape))
 
     def __len__(self):
         return len(self.kinds)
@@ -123,6 +165,8 @@ class Tape:
         self.parents.append(parents)
         self.aux.append(aux)
         self.vals.append(value)
+        self.owned.append(tuple(self.log))
+        self.log.clear()
         return Var(self, len(self.kinds) - 1)
 
     def leaf(self, value) -> "Var":
@@ -133,52 +177,105 @@ class Tape:
         """Node that never receives a gradient (labels, time features)."""
         return self._push("const", (), None, _as_f64(value))
 
-    def vjp(self, out: "Var", cotangent, wrt: list["Var"]) -> list[np.ndarray]:
+    def vjp(self, out: "Var", cotangent, wrt: list["Var"],
+            consume: bool = False) -> list[np.ndarray]:
         """Propagate ``cotangent`` from ``out`` back to the ``wrt`` leaves.
 
         Returns one gradient array per entry of ``wrt`` (zeros when the
         output does not depend on that leaf).  Counts one reverse pass.
+        With ``consume`` it is the tape's last pass: forward values are
+        freed as the pass goes, and a later ``vjp`` raises.
         """
         if out.tape is not self:
             raise ValueError("output var belongs to a different tape")
+        self.check_live()
         arena = self.arena
-        if arena and arena.epoch != self.epoch:
-            raise RuntimeError("the tape's arena was rewound; its values are gone")
-        top = arena and arena.pos
-        g = _as_f64(cotangent)
+        g = np.array(cotangent, dtype=np.float64)  # a copy: never pool memory
         if g.shape != self.vals[out.i].shape:
             raise ValueError(
                 f"cotangent shape {g.shape} != output shape {self.vals[out.i].shape}")
         self.n_reverse_passes += 1
         targets = frozenset(v.i for v in wrt)
+        shapes = [self.vals[v.i].shape for v in wrt]
         marked, wants = self._mark(out.i, targets)
+        if consume:
+            self.spent = True
+            for i in range(out.i + 1, len(self.kinds)):
+                self._release(i)
         grads: list = [None] * len(self.kinds)
         if marked[out.i]:
             grads[out.i] = g
+        log, bufs = self.log, arena.bufs if arena else {}
+        log.clear()
+        # every cotangent is this pass's own array or a view of one; they
+        # are counted per base array (id -> count, id -> the array)
+        count: dict[int, int] = {id(g): 1}
+        base: dict[int, np.ndarray] = {id(g): g}
+        kinds, parents, auxs, visits, dead = self.kinds, self.parents, self.aux, 0, []
         for i in range(out.i, -1, -1):
             gi = grads[i]
-            if gi is None:
-                continue
-            self.n_reverse_visits += 1
-            kind = self.kinds[i]
-            if kind in _TERMINAL:
-                continue
-            if i not in targets:
-                grads[i] = None
-            ps = self.parents[i]
-            contribs = _BACKWARD[kind](gi, self, ps, self.aux[i], wants[i])
-            for p, gp in zip(ps, contribs):
-                if gp is None:
-                    continue
-                if grads[p] is None:
-                    grads[p] = gp
-                else:
-                    grads[p] = self.ufunc(np.add, grads[p], gp)
-        result = [np.zeros_like(self.vals[v.i]) if grads[v.i] is None
-                  else grads[v.i].copy() for v in wrt]
-        if arena:
-            arena.pos = top  # the next pass reuses this one's buffers
+            if gi is not None:
+                visits += 1
+                kind = kinds[i]
+                if kind not in _TERMINAL:
+                    dead.clear()
+                    if i not in targets:
+                        grads[i] = None
+                        dead.append(gi)
+                    ps = parents[i]
+                    contribs = _BACKWARD[kind](gi, self, ps, auxs[i], wants[i])
+                    for p, gp in zip(ps, contribs):
+                        if gp is None:
+                            continue
+                        gq = grads[p]
+                        if gq is not None:
+                            k = id(_base(gq))
+                            if count[k] == 1 and base[k] is not _base(gp) \
+                                    and isinstance(gq, np.ndarray):
+                                np.add(gq, gp, out=gq)  # gq's buffer is its alone
+                                continue
+                            gp = self.ufunc(np.add, gq, gp)
+                            dead.append(gq)
+                        grads[p] = gp
+                        b = _base(gp)
+                        if id(b) in count:
+                            count[id(b)] += 1
+                        else:
+                            count[id(b)], base[id(b)] = 1, b
+                    for b in log:  # pool buffers the rule took for temporaries
+                        if id(b) not in count:
+                            arena.give(b)
+                    log.clear()
+                    for a in dead:  # cotangents that are gone
+                        k = id(_base(a))
+                        count[k] -= 1
+                        if not count[k]:
+                            del count[k]
+                            b = base.pop(k)
+                            if k in bufs:
+                                arena.give(b)
+            if consume:
+                self._release(i)
+        self.n_reverse_visits += visits
+        result = [np.zeros(shape) if grads[v.i] is None else grads[v.i].copy()
+                  for v, shape in zip(wrt, shapes)]
+        for k, b in base.items():
+            if k in bufs:
+                arena.give(b)
         return result
+
+    def check_live(self):
+        """Raise unless the tape still has its values."""
+        if self.spent:
+            raise RuntimeError("the tape was consumed by its last reverse pass")
+        if self.arena and self.arena.epoch != self.epoch:
+            raise RuntimeError("the tape's arena was rewound; its values are gone")
+
+    def _release(self, i: int):
+        """Free node i's value and aux: no node below i reads them."""
+        for b in self.owned[i]:
+            self.arena.give(b)
+        self.vals[i] = self.aux[i] = self.owned[i] = None
 
     def _mark(self, out: int, targets: frozenset):
         """Which nodes up to ``out`` reach a target, and per-node ``want``."""
@@ -241,6 +338,8 @@ _UFUNCS = dict(add=np.add, sub=np.subtract, mul=np.multiply, div=np.divide)
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient down to the shape of the broadcast operand."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for ax, s in enumerate(shape):
@@ -267,15 +366,29 @@ class _Scatter:
     def __init__(self, idx: np.ndarray, n: int, cols: np.ndarray | None = None):
         self.idx, self.n, self.cols, self._m = idx, n, cols, None
 
-    def __call__(self, a: np.ndarray) -> np.ndarray:
+    def _matrix(self, n_rows: int):
         if self._m is None:
             order = np.argsort(self.idx, kind="stable")
             indptr = np.r_[0, np.bincount(self.idx, minlength=self.n).cumsum()]
             cols = order if self.cols is None else self.cols[order]
             self._m = csr_matrix((np.ones(len(order)), cols, indptr),
-                                 shape=(self.n, len(a)))
+                                 shape=(self.n, n_rows))
+        return self._m
+
+    def __call__(self, a: np.ndarray) -> np.ndarray:
         rows = a.reshape(len(a), math.prod(a.shape[1:]))
-        return (self._m @ rows).reshape((self.n,) + a.shape[1:])
+        return (self._matrix(len(a)) @ rows).reshape((self.n,) + a.shape[1:])
+
+    def max(self, col: np.ndarray) -> np.ndarray:
+        """Each segment's maximum of ``col`` (-inf when empty): the values
+        of ``numpy.maximum.at`` on a -inf array, though a zero's sign may
+        differ (numpy reduces in blocks), which ``exp(col - max)`` hides."""
+        m = self._matrix(len(col))
+        out = np.full(self.n, -np.inf)
+        full = np.diff(m.indptr) > 0
+        if full.any():
+            out[full] = np.maximum.reduceat(col[m.indices], m.indptr[:-1][full])
+        return out
 
 
 def affine(x: Var, W: Var, b: Var) -> Var:
@@ -414,10 +527,8 @@ def segment_softmax(y: Var, seg: np.ndarray, num_segments: int) -> Var:
     """
     seg = np.asarray(seg, dtype=np.intp)
     col = y.value[:, 0]
-    m = np.full(num_segments, -np.inf)
-    np.maximum.at(m, seg, col)
-    e = np.exp(col - m[seg])
     sc = _Scatter(seg, num_segments)
+    e = np.exp(col - sc.max(col)[seg])
     alpha = e / sc(e)[seg]
     return y.tape._push("segsoft", (y.i,), (sc, alpha), alpha[:, None])
 
@@ -464,7 +575,8 @@ def _bw_div(g, tape, ps, aux, want):
 
 
 def _bw_affine(g, tape, ps, aux, want):
-    x, W, b = (tape.vals[p] for p in ps)
+    vals = tape.vals
+    x, W, b = vals[ps[0]], vals[ps[1]], vals[ps[2]]
     return (np.matmul(g, W.T, out=tape.empty(g.shape[:-1] + W.shape[:1]))
             if want[0] else None,
             np.matmul(x.T, g, out=tape.empty(W.shape)) if want[1] else None,
@@ -481,8 +593,11 @@ def _bw_segsum(g, tape, ps, sc, want):  # sc.idx was checked by its forward
 
 def _bw_concat(g, tape, ps, aux, want):
     axis, sizes = aux
-    parts = np.split(g, np.cumsum(sizes)[:-1], axis=axis)  # views of g
-    return tuple(gp if w else None for gp, w in zip(parts, want))
+    lead, parts, j = (slice(None),) * axis, [], 0
+    for size, w in zip(sizes, want):  # views of g
+        parts.append(g[lead + (slice(j, j + size),)] if w else None)
+        j += size
+    return parts
 
 
 def _bw_slice(g, tape, ps, aux, want):
@@ -535,11 +650,11 @@ def _bw_outer(g, tape, ps, aux, want):
 
 
 def _bw_sumc(g, tape, ps, shape, want):  # np.positive copies, -0.0 too
-    return (tape.ufunc(np.positive, np.broadcast_to(g[:, :, None], shape)),)
+    return (np.positive(g[:, :, None], out=tape.empty(shape)),)
 
 
 def _bw_suma(g, tape, ps, shape, want):
-    return (tape.ufunc(np.positive, np.broadcast_to(float(g), shape)),)
+    return (np.positive(float(g), out=tape.empty(shape)),)
 
 
 def _bw_rbf(g, tape, ps, aux, want):
@@ -598,7 +713,7 @@ class Program:
     def __init__(self, build: Callable, n_in: int):
         self.build = build
         self.n_in = n_in
-        self.arena: Arena | None = None  # set by the caller to reuse buffers
+        self.arena: Arena | None = None  # its tapes' arena (POOL), if any
         self.tape: Tape | None = None
         self.in_var: Var | None = None
         self.out_var: Var | None = None
@@ -613,12 +728,10 @@ class Program:
 def forward_eval(program: Program, x) -> np.ndarray:
     """Run the program forward, caching intermediates for reverse passes.
 
-    With an arena, the program's last tape is invalid from here on."""
+    With an arena, every earlier tape on it is invalid from here on."""
     x = _as_f64(x)
     if x.size != program.n_in:
         raise ValueError(f"expected {program.n_in} inputs, got {x.size}")
-    if program.arena is not None:
-        program.arena.rewind()
     tape = Tape(program.arena)
     program.tape = tape
     program.in_var, program.out_var = program.build(tape, x)
@@ -632,6 +745,7 @@ def vjp(program: Program, cotangent) -> np.ndarray:
     """u^T J of the last forward evaluation, honoring detach markers."""
     if program.tape is None:
         raise RuntimeError("vjp called before forward_eval")
+    program.tape.check_live()
     u = _as_f64(cotangent).reshape(program.out_var.shape)
     (g,) = program.tape.vjp(program.out_var, u, [program.in_var])
     return g.reshape(-1)

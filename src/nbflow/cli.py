@@ -210,6 +210,10 @@ def cmd_train(cfg, out_dir, quiet, data_path=None):
     if not data_path.exists():
         raise ConfigError(f"training data not found: {data_path}")
     x, Z = training.load_data_csv(data_path)
+    try:
+        tc.n_validation(len(x))
+    except ValueError as exc:
+        raise ConfigError(f"invalid train config: train.{exc}") from exc
     result = training.train(tc, arch, x, out_dir, Z=Z, quiet=quiet)
     if not quiet:
         print(f"best epoch {result.best_epoch}, "

@@ -86,7 +86,7 @@ def _check_mode(cfg: net.ArchConfig, mode: str):
 
 def field_and_divergence(params, cfg: net.ArchConfig, x, Z=None,
                          t: float = 0.0, mode: str = "hollow",
-                         graph_override=None, arena: ad.Arena | None = None):
+                         graph_override=None):
     """Velocity and exact divergence of the field for a (B, n, d) batch.
 
     Returns (velocity (B, n, d), divergence (B,), stats); ``stats`` holds
@@ -95,8 +95,8 @@ def field_and_divergence(params, cfg: net.ArchConfig, x, Z=None,
     evaluate the batch as one program and read its diagonal with d or n*d
     probe passes; fd evaluates one program per sample, with that sample's
     labels, time and graph override, and differentiates it numerically.
-    Every tape is recorded on ``arena`` (a fresh one by default), which
-    this call rewinds; the arrays returned are not arena memory.
+    Every tape is recorded on ``autodiff.POOL``; the arrays returned are
+    not pool memory.
     """
     _check_mode(cfg, mode)
     x = np.asarray(x, dtype=np.float64)
@@ -112,13 +112,12 @@ def field_and_divergence(params, cfg: net.ArchConfig, x, Z=None,
     stats = {"reverse_passes": 0, "seconds_forward": 0.0,
              "seconds_divergence": 0.0}
     vel, diag = [], []
-    arena = ad.Arena() if arena is None else arena
     for xc, Zc, tc, goc in chunks:
         t0 = time.perf_counter()
         prog = net.make_field_program(params, cfg, n, d, Z=Zc, t=tc,
                                       batch=len(xc), graph_override=goc,
                                       detach_conditioner=(mode == "hollow"))
-        prog.arena = arena
+        prog.arena = ad.POOL
         vel.append(ad.forward_eval(prog, xc.reshape(-1)))
         t1 = time.perf_counter()
         if mode == "fd":
@@ -154,8 +153,7 @@ def divergence(params, cfg: net.ArchConfig, x, Z=None, t: float = 0.0,
 
 
 class ModelField:
-    """Joint velocity/divergence evaluator that adds up timings and passes;
-    its one ``autodiff.Arena`` holds the tape buffers of every stage."""
+    """Joint velocity/divergence evaluator that adds up timings and passes."""
 
     def __init__(self, params, cfg: net.ArchConfig, Z=None,
                  mode: str = "hollow", graph_override=None):
@@ -168,13 +166,12 @@ class ModelField:
         self.seconds_forward = 0.0
         self.seconds_divergence = 0.0
         self.reverse_passes = 0
-        self.arena = ad.Arena()
 
     def rate(self, x, t):
         """(velocity, divergence) at one time point for a (B,n,d) batch."""
         vel, div, stats = field_and_divergence(
             self.params, self.cfg, x, self.Z, t, self.mode,
-            self.graph_override, self.arena)
+            self.graph_override)
         self.seconds_forward += stats["seconds_forward"]
         self.seconds_divergence += stats["seconds_divergence"]
         self.reverse_passes += stats["reverse_passes"]
@@ -284,7 +281,7 @@ def sample_with_likelihood(params, cfg: net.ArchConfig, prior: GaussianPrior,
     rng = np.random.default_rng(seed)
     xs, l0s, dls, jumps = [], [], [], []
     t_start = time.perf_counter()
-    mf = ModelField(params, cfg, Z=Z, mode=mode)  # one arena for all batches
+    mf = ModelField(params, cfg, Z=Z, mode=mode)
     remaining = count
     while remaining > 0:
         b = min(batch_size, remaining)

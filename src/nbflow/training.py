@@ -49,6 +49,15 @@ class TrainConfig:
             raise ValueError("validation_fraction must be in [0, 1)")
         return self
 
+    def n_validation(self, M: int) -> int:
+        """How many of M configurations are held out; one must be left."""
+        n_val = int(round(M * self.validation_fraction))
+        if n_val >= M:
+            raise ValueError(
+                f"validation_fraction={self.validation_fraction} holds out "
+                f"{n_val} of M={M} configurations, leaving none to train on")
+        return n_val
+
     def lr_at(self, epoch: int) -> float:
         if self.ramp_epochs <= 0 or epoch >= self.ramp_epochs:
             return self.lr_final
@@ -120,7 +129,7 @@ def make_cfm_batch(x0, x1, t, sigma, rng=None, Z=None,
 def _loss_tape(params, cfg, batch: CfmBatch):
     B, n, d = batch.x_t.shape
     plan = net.make_plan(batch.x_t, cfg)
-    tape = ad.Tape()
+    tape = ad.Tape(ad.POOL)
     pv = net.param_vars(tape, params)
     xv = tape.const(batch.x_t.reshape(B * n, d))
     Zs, t_samples, _ = net.batch_inputs(B, n, batch.Z, batch.t)
@@ -145,7 +154,8 @@ def cfm_loss_and_grad(params, cfg, batch) -> tuple[float, dict[str, np.ndarray]]
     if not np.isfinite(val):
         raise FloatingPointError("non-finite loss")
     names = list(params)
-    grads = tape.vjp(loss, np.asarray(1.0), [pv[n] for n in names])
+    grads = tape.vjp(loss, np.asarray(1.0), [pv[n] for n in names],
+                     consume=True)
     return val, dict(zip(names, grads))
 
 
@@ -208,7 +218,7 @@ def train(train_cfg: TrainConfig, arch_cfg: net.ArchConfig,
     if params is None:
         params = net.init_params(arch_cfg, seed=train_cfg.seed)
 
-    n_val = int(round(M * train_cfg.validation_fraction))
+    n_val = train_cfg.n_validation(M)
     perm = rng.permutation(M)
     val_x = data[perm[:n_val]]
     trn_x = data[perm[n_val:]]
@@ -284,22 +294,41 @@ def train(train_cfg: TrainConfig, arch_cfg: net.ArchConfig,
 
 
 def load_data_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read the training CSV: first line n,d then flattened rows + labels."""
+    """Read the training CSV: first line n,d, then one line per sample: its
+    n*d finite coordinates, then n integer labels, the same on every line."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         try:
             n, d = (int(v) for v in header.split(","))
         except ValueError as exc:
             raise ValueError(f"malformed data header {header!r}") from exc
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+        rows, Z = [], None
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            cells = line.strip().split(",")
+            if len(cells) != n * d + n:
+                raise ValueError(f"data line {lineno}: row length does not "
+                                 f"match header")
+            try:
+                row = np.array(cells, dtype=np.float64)
+            except ValueError as exc:
+                raise ValueError(f"data line {lineno}: {exc}") from exc
+            x, z, labels = row[:n * d], row[n * d:], ",".join(cells[n * d:])
+            if not np.all(np.isfinite(x)):
+                raise ValueError(f"data line {lineno}: coordinates must be finite")
+            if not np.all(np.isfinite(z) & (z == np.round(z))):
+                raise ValueError(f"data line {lineno}: labels must be integers, "
+                                 f"not {labels}")
+            if Z is None:
+                Z, z_line = z, lineno
+            elif not np.array_equal(z, Z):
+                raise ValueError(f"data line {lineno}: labels {labels} differ "
+                                 f"from line {z_line}'s")
+            rows.append(x)
     if not rows:
         raise ValueError("data file has no samples")
-    arr = np.array(rows, dtype=np.float64)
-    if arr.shape[1] != n * d + n:
-        raise ValueError("data row length does not match header")
-    x = arr[:, :n * d].reshape(-1, n, d)
-    Z = arr[0, n * d:].astype(int)
-    return x, Z
+    return np.array(rows).reshape(-1, n, d), Z.astype(int)
 
 
 def save_data_csv(path, x: np.ndarray, Z=None):

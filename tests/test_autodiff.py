@@ -1,6 +1,8 @@
 """Tape correctness: values, gradients vs finite differences, detach,
 probe-vector diagonal extraction, and pass accounting."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +25,54 @@ def random_hollow_program(n, d, seed, **cfg_kw):
     cfg = net.ArchConfig(**kw).validate()
     params = net.init_params(cfg, seed=seed)
     return net.make_field_program(params, cfg, n, d), cfg
+
+
+class NanPool(ad.Arena):
+    """A pool that fills each buffer with NaN when it hands it out and when
+    it takes it back, so a result that reads a buffer it does not own shows
+    up as NaN; a buffer given back twice fails at once."""
+
+    __slots__ = ("handed",)
+    small = 0  # every buffer, however small, comes from the pool
+
+    def __init__(self):
+        super().__init__()
+        self.handed = 0  # buffers handed out by ``empty``
+
+    def empty(self, shape):
+        out = super().empty(shape)
+        self.log[-1].fill(np.nan)
+        self.handed += 1
+        return out
+
+    def scratch(self, shape):
+        out = super().scratch(shape)
+        self.tmp.fill(np.nan)
+        return out
+
+    def give(self, buf):
+        assert id(buf) in self.bufs and not any(buf is b for b in self.free)
+        buf.fill(np.nan)
+        super().give(buf)
+
+    def rewind(self):
+        super().rewind()
+        for buf in self.free:
+            buf.fill(np.nan)
+
+
+def in_pool(a, pool):
+    return any(np.shares_memory(a, b) for b in [*pool.bufs.values(), pool.tmp])
+
+
+@contextlib.contextmanager
+def pool_swapped(pool):
+    """``autodiff.POOL`` is ``pool`` inside the block (None: no pool)."""
+    saved, ad.POOL = ad.POOL, pool
+    try:
+        yield pool
+    finally:
+        ad.POOL = saved
 
 
 class TestForwardEval:
@@ -122,19 +172,19 @@ class TestVjp:
 
 
 class TestArena:
-    """Tapes recorded on an ``Arena``: the same results as fresh tapes,
-    and no arena memory in what the tape hands back."""
+    """Tapes recorded on a pool: the same results as tapes without one,
+    and no pool memory in what the tape hands back."""
 
     def setup_method(self):
         self.prog, _ = random_hollow_program(6, 3, seed=4, pairwise_diff=True)
         self.fresh, _ = random_hollow_program(6, 3, seed=4, pairwise_diff=True)
-        self.prog.arena = ad.Arena()
+        self.prog.arena = self.pool = NanPool()
         rng = np.random.default_rng(5)
         self.xs = [rng.standard_normal(18) for _ in range(3)]
         self.probes = ad.probe_vectors(6, 3)
 
     def test_repeated_evaluations_match_fresh_tapes(self):
-        arena = self.prog.arena
+        pool = self.pool
         for x in self.xs:
             out = ad.forward_eval(self.prog, x)
             diag = ad.jacobian_diagonal(self.prog, self.probes)
@@ -145,9 +195,8 @@ class TestArena:
                 self.fresh, self.probes).tobytes()
             assert g.tobytes() == ad.vjp(self.fresh, x).tobytes()
             for a in (out, diag, g):
-                assert not any(np.shares_memory(a, slot)
-                               for slot in arena.slots)
-        assert self.prog.tape.arena is arena and self.fresh.tape.arena is None
+                assert not in_pool(a, pool)
+        assert self.prog.tape.arena is pool and self.fresh.tape.arena is None
 
     def test_vjp_on_a_rewound_tape_raises(self):
         ad.forward_eval(self.prog, self.xs[0])
@@ -155,27 +204,62 @@ class TestArena:
         ad.forward_eval(self.prog, self.xs[1])  # rewinds: tape is gone
         with pytest.raises(RuntimeError, match="rewound"):
             tape.vjp(out, self.probes[0], [x])
-        self.prog.arena.rewind()
+        self.pool.rewind()
         with pytest.raises(RuntimeError, match="rewound"):
             ad.vjp(self.prog, self.probes[0])
 
+    def test_vjp_on_a_consumed_tape_raises(self):
+        grads = []
+        for prog in (self.fresh, self.prog):
+            ad.forward_eval(prog, self.xs[0])
+            grads += prog.tape.vjp(prog.out_var, self.probes[0], [prog.in_var],
+                                   consume=True)
+            assert all(v is None for v in prog.tape.vals)
+            with pytest.raises(RuntimeError, match="consumed"):
+                ad.vjp(prog, self.probes[1])
+        assert grads[0].tobytes() == grads[1].tobytes()
+        assert not in_pool(grads[1], self.pool)
+        # the consumed pass gave back every buffer the tape held
+        assert len(self.pool.free) == len(self.pool.bufs)
+
+    def test_shared_cotangents_are_not_added_into(self):
+        # add hands one cotangent to u and v; u takes more from j, whose
+        # rule runs before v's, which must still read the add's cotangent
+        def grads(arena):
+            tape = ad.Tape(arena)
+            x = tape.leaf(np.array([0.5, -2.0, 3.0]))
+            u, v = x * 3.0, x * 5.0
+            j = u * u
+            out = ad.sum_all((u + v) * j)
+            return tape.vjp(out, 1.0, [x, u, v])
+
+        x = np.array([0.5, -2.0, 3.0])  # out = sum(72 x^3), exactly
+        ref = (216.0 * x * x, 57.0 * x * x, 9.0 * x * x)
+        for arena in (None, NanPool()):
+            got = grads(arena)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+
     def test_outputs_outlive_the_next_evaluation(self):
-        prog = square_program()  # its output is an arena buffer
-        prog.arena = ad.Arena()
+        prog = square_program()  # its output is a pool buffer
+        prog.arena = NanPool()
         out = ad.forward_eval(prog, [3.0])
         assert ad.forward_eval(prog, [4.0]) == 16.0 and out == 9.0
         assert ad.vjp(prog, [1.0]) == 8.0
 
     def test_passes_reuse_one_set_of_buffers(self):
-        arena = self.prog.arena
+        pool = self.pool
         ad.forward_eval(self.prog, self.xs[0])
-        top = arena.pos
+        made, handed = len(pool.bufs), pool.handed
         ad.vjp(self.prog, self.probes[0])
-        slots = list(arena.slots)
+        # a pass hands its dead cotangents to its later rules
+        assert len(pool.bufs) - made < (pool.handed - handed) / 4
+        bufs, free = list(pool.bufs.values()), {id(b) for b in pool.free}
         for probe in self.probes[1:]:
             ad.vjp(self.prog, probe)
-            assert arena.pos == top
-            assert all(a is b for a, b in zip(arena.slots, slots, strict=True))
+            # no new buffer, and the pass gave back all it took
+            assert all(a is b for a, b in zip(pool.bufs.values(), bufs,
+                                              strict=True))
+            assert {id(b) for b in pool.free} == free
 
 
 class TestProbeVectors:
@@ -487,21 +571,15 @@ def awkward(rng, shape):
 def run_op(op, *args, arena=None):
     """An op's value and its rule's gradients for a random cotangent.
 
-    With an arena, the op and its rule run twice; before the second run
-    every arena buffer is filled with NaN, so no output may rely on what
-    a buffer held.
+    On a ``NanPool`` every buffer comes filled with NaN, so no output may
+    rely on what a buffer held.  The next tape on it rewinds the pool.
     """
-    for _ in range(1 if arena is None else 2):
-        if arena is not None:
-            arena.rewind()
-            for slot in arena.slots:
-                slot.fill(np.nan)
-        tape = ad.Tape(arena)
-        out = op(*(tape.leaf(a) for a in args))
-        g = awkward(np.random.default_rng(1), out.shape)
-        i = out.i
-        grads = ad._BACKWARD[tape.kinds[i]](g, tape, tape.parents[i],
-                                            tape.aux[i], (True,) * len(args))
+    tape = ad.Tape(arena)
+    out = op(*(tape.leaf(a) for a in args))
+    g = awkward(np.random.default_rng(1), out.shape)
+    i = out.i
+    grads = ad._BACKWARD[tape.kinds[i]](g, tape, tape.parents[i],
+                                        tape.aux[i], (True,) * len(args))
     return out.value, g, grads
 
 
@@ -560,9 +638,9 @@ class TestKernels:
         ao, bo = channel_major(a), channel_major(b)
         u = awkward(rng, (R, d))
         eps = ad.NORM_EPS
-        # tapes without an arena, and on an arena's reused buffers; the
+        # tapes without a pool, and on a pool's NaN-filled buffers; the
         # sums of channel_norm and of outer's u-gradient keep +0.0 for -0.0
-        for arena in (None, ad.Arena()):
+        for arena in (None, NanPool()):
             def op(*args):
                 return run_op(*args, arena=arena)
 
@@ -647,21 +725,28 @@ class TestKernels:
     ])
     def test_segment_softmax_matches_add_at_formulas(self, seg, n_seg):
         seg = np.asarray(seg, dtype=np.intp)
-        y = awkward(np.random.default_rng(10), (len(seg), 1)) * 5.0
-        v, g, (gy,) = run_op(lambda a: ad.segment_softmax(a, seg, n_seg), y)
-        m = np.full(n_seg, -np.inf)
-        np.maximum.at(m, seg, y[:, 0])
-        e = np.exp(y[:, 0] - m[seg])
-        tot = np.zeros(n_seg)
-        np.add.at(tot, seg, e)
-        alpha = e / tot[seg]
-        ga = g[:, 0] * alpha  # g has -0.0 entries
-        dots = np.zeros(n_seg)
-        np.add.at(dots, seg, ga)
-        assert same_bits(v, alpha[:, None])
-        assert same_bits(gy, (ga - alpha * dots[seg])[:, None])
-        single = np.bincount(seg, minlength=n_seg)[seg] == 1
-        assert np.all(v[single] == 1.0)
+        rng = np.random.default_rng(10)
+        y = awkward(rng, (len(seg), 1)) * 5.0
+        ties = rng.choice([0.0, -0.0, -1.0], (len(seg), 1))
+        for y in (y, ties):  # ties: maxima of +-0.0 shared by many rows
+            m = np.full(n_seg, -np.inf)
+            np.maximum.at(m, seg, y[:, 0])
+            # the reduceat maxima: the same values, a zero's sign aside
+            assert np.array_equal(ad._Scatter(seg, n_seg).max(y[:, 0]), m)
+            e = np.exp(y[:, 0] - m[seg])
+            tot = np.zeros(n_seg)
+            np.add.at(tot, seg, e)
+            alpha = e / tot[seg]
+            for arena in (None, NanPool()):
+                v, g, (gy,) = run_op(
+                    lambda a: ad.segment_softmax(a, seg, n_seg), y, arena=arena)
+                ga = g[:, 0] * alpha  # g has -0.0 entries
+                dots = np.zeros(n_seg)
+                np.add.at(dots, seg, ga)
+                assert same_bits(v, alpha[:, None])
+                assert same_bits(gy, (ga - alpha * dots[seg])[:, None])
+                single = np.bincount(seg, minlength=n_seg)[seg] == 1
+                assert np.all(v[single] == 1.0)
 
     def test_sigmoid_matches_two_branch_formula(self):
         rng = np.random.default_rng(7)

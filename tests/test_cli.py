@@ -76,6 +76,16 @@ class TestConfigValidation:
                     "--set", "train.seed=5"]) == 1
         assert "train.seed" in capsys.readouterr().err
 
+    def test_split_that_leaves_no_training_data_names_key(self, tmp_path,
+                                                           capsys):
+        x = np.random.default_rng(0).standard_normal((2, 3, 2))
+        training.save_data_csv(tmp_path / "data.csv", x)
+        assert run(["train", "--out", tmp_path, "--quiet",
+                    "--set", "system.n=3", "--set", "model.n_hidden=4",
+                    "--set", "model.knn_k=2", "--set", "train.epochs=1",
+                    "--set", "train.validation_fraction=0.75"]) == 1
+        assert "train.validation_fraction" in capsys.readouterr().err
+
     def test_runtime_failure_exit_code(self, tmp_path):
         # bench requires >= 4 sweep points
         assert run(["bench", "--out", tmp_path, "--set",

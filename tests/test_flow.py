@@ -1,5 +1,7 @@
 """Integrator accuracy, divergence-mode agreement, priors, and sampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,7 @@ from nbflow import flow
 from nbflow import graphs as gt
 from nbflow import network as net
 from nbflow import training
+from test_autodiff import NanPool, in_pool, pool_swapped
 from test_graphs import make_cloud
 
 
@@ -262,7 +265,7 @@ class TestPrunedReversePassProperties:
 
 
 def fresh_rate(params, cfg, Z, mode, log):
-    """The RK4 rate from tapes without an arena; the oracle for ModelField."""
+    """The RK4 rate from tapes without a pool; the oracle for ModelField."""
     def rate(x, t):
         B, n, d = x.shape
         prog = net.make_field_program(params, cfg, n, d, Z=Z, t=t, batch=B,
@@ -285,11 +288,12 @@ def logged(rate, log):
 
 
 def integrate_both(params, cfg, Z, mode, x, steps):
-    """ModelField's integration and the fresh-tape one, checked bitwise
-    stage by stage; returns the ModelField and the stage inputs."""
+    """ModelField's integration on a NanPool and the fresh-tape one, checked
+    bitwise stage by stage; returns the ModelField and the stage inputs."""
     mf = flow.ModelField(params, cfg, Z=Z, mode=mode)
     got, ref = [], []
-    s1 = flow.rk4_integrate(logged(mf.rate, got), x, steps)
+    with pool_swapped(NanPool()) as pool:
+        s1 = flow.rk4_integrate(logged(mf.rate, got), x, steps)
     s2 = flow.rk4_integrate(fresh_rate(params, cfg, Z, mode, ref), x, steps)
     assert s1.x.tobytes() == s2.x.tobytes()
     assert s1.delta_logrho.tobytes() == s2.delta_logrho.tobytes()
@@ -298,12 +302,12 @@ def integrate_both(params, cfg, Z, mode, x, steps):
         assert (xa.tobytes(), va.tobytes(), da.tobytes()) == (
             xb.tobytes(), vb.tobytes(), db.tobytes())
         for a in (va, da):
-            assert not any(np.shares_memory(a, slot) for slot in mf.arena.slots)
+            assert not in_pool(a, pool)
     return mf, [xa for xa, _, _ in got]
 
 
 class TestModelFieldArena:
-    """ModelField records every stage on one arena, whose buffers hold the
+    """ModelField records every stage on the pool, whose buffers hold the
     last stage's values; its results must be those of fresh tapes."""
 
     @given(**FIELD_CASES, mode=st.sampled_from(["hollow", "brute"]),
@@ -332,9 +336,8 @@ class TestModelFieldArena:
         params = net.init_params(cfg, seed=6)
         x = np.random.default_rng(7).standard_normal((2, 4, 2))
         Z = np.array([[0, 1, 1, 0], [1, 0, 0, 1]])
-        arena = ad.Arena()
-        vel, div, _ = flow.field_and_divergence(params, cfg, x, Z, 0.3, "fd",
-                                                arena=arena)
+        with pool_swapped(NanPool()) as pool:
+            vel, div, _ = flow.field_and_divergence(params, cfg, x, Z, 0.3, "fd")
         ref_vel, ref_diag = [], []
         for s in range(2):  # one program per sample, as fd mode evaluates
             prog = net.make_field_program(params, cfg, 4, 2, Z=Z[s], t=0.3)
@@ -344,23 +347,70 @@ class TestModelFieldArena:
         assert vel.tobytes() == np.concatenate(ref_vel).reshape(x.shape).tobytes()
         assert div.tobytes() == np.concatenate(ref_diag).reshape(
             2, -1).sum(axis=1).tobytes()
-        assert not any(np.shares_memory(a, slot) for a in (vel, div)
-                       for slot in arena.slots)
+        assert not in_pool(vel, pool) and not in_pool(div, pool)
 
     def test_later_stages_allocate_no_slot(self):
-        # a fixed graph keeps every shape, so later stages reuse the slots
+        # a fixed graph keeps every shape, so later stages make no buffer
         cfg = net.ArchConfig(n_hidden=6, steps=2, knn_k=2).validate()
         params = net.init_params(cfg, seed=8)
         x = np.random.default_rng(9).standard_normal((2, 5, 2))
         override = [[gt.build_knn_graph(x[s], 2)] for s in range(2)]
         mf = flow.ModelField(params, cfg, graph_override=override)
-        mf.rate(x, 0.0)
-        slots = list(mf.arena.slots)
-        for t in (0.25, 0.5, 1.0):
-            mf.rate(x * (1.0 + t), t)
-            assert all(a is b for a, b in zip(mf.arena.slots, slots,
-                                              strict=True))
+        with pool_swapped(NanPool()) as pool:
+            mf.rate(x, 0.0)
+            bufs = list(pool.bufs.values())
+            for t in (0.25, 0.5, 1.0):
+                mf.rate(x * (1.0 + t), t)
+                assert all(a is b for a, b in zip(pool.bufs.values(), bufs,
+                                                  strict=True))
         assert mf.reverse_passes == 4 * 2
+
+
+def interleaved_calls(params, cfg, x, Z, t, batches):
+    """Sampling stages, full reverse-mode Jacobians and CFM steps, one after
+    the other on whatever ``autodiff.POOL`` is; every array they return."""
+    B, n, d = x.shape
+    out = []
+    modes = ["brute"] if cfg.baseline else ["hollow", "brute"]
+    for mode, batch in zip(modes * 2, batches):
+        vel, div, stats = flow.field_and_divergence(params, cfg, x, Z, t, mode)
+        assert stats["reverse_passes"] == (d if mode == "hollow" else n * d)
+        out += [vel, div]
+        loss, grads = training.cfm_loss_and_grad(params, cfg, batch)
+        out += [np.float64(loss), *grads.values()]
+        prog = net.make_field_program(params, cfg, n, d, Z=Z, t=t, batch=B,
+                                      detach_conditioner=(mode == "hollow"))
+        prog.arena = ad.POOL
+        ad.forward_eval(prog, x.reshape(-1))
+        out.append(np.stack([ad.vjp(prog, e) for e in np.eye(B * n * d)]))
+        out.append(np.float64(training.cfm_loss(params, cfg, batch)))
+    return out
+
+
+class TestPoolProperties:
+    """Sampling and training interleaved on one pool that fills each buffer
+    with NaN when it hands it out and when it takes it back: bitwise the
+    results of the same calls on tapes without a pool."""
+
+    @given(**FIELD_CASES, baseline=st.booleans())
+    def test_interleaved_calls_match_tapes_without_a_pool(self, baseline,
+                                                           **case):
+        cfg, params, x, Z, t, rng = random_field(**case)
+        if baseline:  # no heads and no attention: plain kNN or complete
+            cfg = dataclasses.replace(cfg, baseline=True, attention=None,
+                                      heads=None, overlap=0).validate()
+            params = net.init_params(cfg, seed=case["seed"] % 1000)
+        batches = [training.make_cfm_batch(rng.standard_normal(x.shape), x,
+                                           rng.random(len(x)), 0.01, rng=rng,
+                                           Z=Z) for _ in range(2)]
+        with pool_swapped(None):
+            ref = interleaved_calls(params, cfg, x, Z, t, batches)
+        with pool_swapped(NanPool()) as pool:
+            got = interleaved_calls(params, cfg, x, Z, t, batches)
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert not in_pool(a, pool)
 
 
 class TestSampleWithLikelihood:

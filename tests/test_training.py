@@ -191,6 +191,15 @@ class TestTrainLoop:
                 wins += 1
         assert wins >= 9
 
+    def test_split_that_leaves_no_training_data_names_the_fraction(
+            self, tmp_path):
+        cfg, _ = small_setup(seed=7)
+        tc = tr.TrainConfig(batch_size=5, epochs=1, validation_fraction=0.75)
+        data = np.random.default_rng(8).standard_normal((2, 4, 2))
+        with pytest.raises(ValueError,
+                           match=r"validation_fraction=0\.75 .* 2 of M=2"):
+            tr.train(tc, cfg, data, tmp_path)
+
     def test_best_checkpoint_is_argmin_validation(self, tmp_path):
         cfg, _ = small_setup(seed=9)
         tc = tr.TrainConfig(batch_size=8, epochs=5, seed=9,
@@ -218,4 +227,16 @@ class TestDataCsv:
         p = tmp_path / "bad.csv"
         p.write_text("hello\n1,2,3\n")
         with pytest.raises(ValueError):
+            tr.load_data_csv(p)
+
+    @pytest.mark.parametrize("rows,line,what", [
+        (["0.1,0.2,0,1", "0.3,0.4,1,0"], 3, "labels 1,0 differ from line 2"),
+        (["0.1,0.2,0.5,0"], 2, "labels must be integers"),
+        (["0.1,0.2,0,0", "", "nan,0.4,0,0"], 4, "coordinates must be finite"),
+        (["0.1,-inf,0,0"], 2, "coordinates must be finite"),
+    ], ids=["mixed_labels", "fractional_label", "nan", "inf"])
+    def test_bad_rows_name_their_line(self, tmp_path, rows, line, what):
+        p = tmp_path / "bad.csv"
+        p.write_text("2,1\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=f"line {line}: {what}"):
             tr.load_data_csv(p)
