@@ -25,12 +25,12 @@ only for the input's, which is what makes the d-probe divergence
 extraction cheap.
 
 Equivariant features are (R, d, C): rows, coordinates, channels.  So
-scalar gates broadcast as ``s[:, None, :]`` over contiguous channels, and a
-sum over d adds d contiguous (R, C) slabs.  Sums take the order that
-``np.sum`` takes on the same data laid out (R, C, d), bit for bit (the
-tests check it): over d, slabs add onto +0.0 in index order (its order on
-a short trailing axis); over C, channels add one by one in index order
-(its order on a strided axis), not pairwise.
+scalar gates broadcast as ``s[:, None, :]`` over contiguous channels.  A
+sum over d or over C is one ``np.einsum`` pass into an ``out=`` buffer;
+its order is einsum's, not that of ``np.sum`` on another layout, so each
+sum is within the usual rounding bound of the exact one (the tests check
+it against ``math.fsum``).  Outputs are deterministic from run to run and
+bitwise the same with and without a pool.
 
 Ops, rules and ``Tape.vjp``'s cotangent sums write into ``tape.empty``
 buffers: ``np.empty`` on a tape without an arena, else buffers of the
@@ -48,7 +48,7 @@ read ``vals[i]``; the tape is spent after it.  Pool memory never
 escapes: ``forward_eval`` and ``Tape.vjp`` return copies.  The pool keeps
 the largest set of buffers one operation needed until the process exits,
 and it assumes one thread.  Arrays under 128 KiB and scatter-adds stay
-fresh arrays; ``scratch`` temporaries share one buffer of their own.
+fresh arrays.
 
 Pass and visit counters live on the tape so callers can assert exact
 backward-pass counts.
@@ -63,6 +63,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.special import expit
 
 NORM_EPS = 1e-12  # smoothing inside sqrt so unit vectors are defined at 0
 _TERMINAL = ("leaf", "const", "detach")  # kinds that pass no cotangent on
@@ -77,11 +78,10 @@ class Arena:
     free buffer that fits, as a view of the asked shape; with none, it makes
     one an eighth larger than asked, which replaces the largest free buffer
     (too small) if there is one.  ``give`` takes a buffer back, ``rewind``
-    takes back all of them.  ``scratch`` has a buffer of its own, for a
-    temporary dead before the next.  ``log`` lists the buffers handed out
-    since a tape last read it."""
+    takes back all of them.  ``log`` lists the buffers handed out since a
+    tape last read it."""
 
-    __slots__ = ("bufs", "free", "log", "epoch", "tmp")
+    __slots__ = ("bufs", "free", "log", "epoch")
     small = 16384  # float64s in 128 KiB, glibc's default mmap threshold
 
     def __init__(self):
@@ -89,7 +89,6 @@ class Arena:
         self.free: list[np.ndarray] = []  # sorted by size
         self.log: list[np.ndarray] = []
         self.epoch = 0
-        self.tmp = np.empty(0)
 
     def empty(self, shape: tuple) -> np.ndarray:
         size = math.prod(shape)
@@ -108,12 +107,6 @@ class Arena:
 
     def give(self, buf: np.ndarray):
         bisect.insort(self.free, buf, key=len)
-
-    def scratch(self, shape: tuple) -> np.ndarray:
-        size = math.prod(shape)
-        if self.tmp.size < size:
-            self.tmp = np.empty(size + size // 8)
-        return self.tmp[:size].reshape(shape)
 
     def rewind(self):
         self.free = sorted(self.bufs.values(), key=len)
@@ -134,7 +127,7 @@ class Tape:
 
     __slots__ = ("kinds", "parents", "aux", "vals", "owned", "n_reverse_visits",
                  "n_reverse_passes", "_marks", "arena", "epoch", "log",
-                 "spent", "empty", "scratch")
+                 "spent", "empty")
 
     def __init__(self, arena: Arena | None = None):
         if arena is not None:
@@ -142,7 +135,6 @@ class Tape:
         self.arena, self.epoch = arena, arena and arena.epoch
         self.log = [] if arena is None else arena.log
         self.empty = np.empty if arena is None else arena.empty
-        self.scratch = np.empty if arena is None else arena.scratch
         self.kinds: list[str] = []
         self.parents: list[tuple[int, ...]] = []
         self.aux: list = []
@@ -441,44 +433,22 @@ def slice_cols(a: Var, j0: int, j1: int) -> Var:
 
 
 def silu(a: Var) -> Var:
-    # sigmoid s = 1 / (1 + e) for x >= 0, e / (1 + e) below, e = exp(-|x|)
-    # (never overflows) held in v until v takes x * s
-    x, s, v = a.value, a.tape.empty(a.shape), a.tape.empty(a.shape)
-    np.exp(np.negative(np.abs(x, out=v), out=v), out=v)
-    np.copyto(s, v)
-    np.copyto(s, 1.0, where=x >= 0)
-    v += 1.0
-    s /= v
-    return a.tape._push("silu", (a.i,), s, np.multiply(x, s, out=v))
+    x, s = a.value, a.tape.empty(a.shape)
+    expit(x, out=s)  # the sigmoid, kept for the rule
+    return a.tape._push("silu", (a.i,), s, a.tape.ufunc(np.multiply, x, s))
 
 
-def _dsum(tape: Tape, a: np.ndarray, b: np.ndarray,
-          plus0: bool = True) -> np.ndarray:
-    """sum_k a[:, k] * b[:, k]: (R, d, C) -> (R, C), one slab at a time.
-    The +0.0 it starts from only turns a -0.0 into +0.0, so callers whose
-    products are never -0.0 (squares) skip it with ``plus0=False``."""
-    out = tape.ufunc(np.multiply, a[:, 0], b[:, 0])
-    if plus0:
-        out += 0.0
-    tmp = tape.scratch(out.shape)
-    for k in range(1, a.shape[1]):
-        out += np.multiply(a[:, k], b[:, k], out=tmp)
-    return out
-
-
-def _csum(tape: Tape, a: np.ndarray) -> np.ndarray:
-    """Sum over the trailing channel axis, one channel at a time."""
-    out = tape.ufunc(np.add, a[..., 0], 0.0)
-    for c in range(1, a.shape[-1]):
-        out += a[..., c]
-    return out
+def _dsum(tape: Tape, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a[:, k] * b[:, k]: (R, d, C) x (R, d, C) -> (R, C), one pass."""
+    return np.einsum("rkc,rkc->rc", a, b,
+                     out=tape.empty((a.shape[0], a.shape[2])))
 
 
 def channel_norm(a: Var) -> Var:
     """sqrt(sum over d of a^2 + eps), smooth at 0: (R, d, C) -> (R, C); an
     (R, d) array is one channel and gives (R, 1)."""
     x = a.value if a.value.ndim == 3 else a.value[:, :, None]
-    v = _dsum(a.tape, x, x, plus0=False)
+    v = _dsum(a.tape, x, x)
     v += NORM_EPS
     np.sqrt(v, out=v)
     return a.tape._push("cnorm", (a.i,), v, v)
@@ -501,9 +471,11 @@ def outer_rows(s: Var, u: Var) -> Var:
         np.multiply, u.value[:, :, None], s.value[:, None, :]))
 
 
-def sum_channels(v: Var) -> Var:
-    """(R, d, C) -> (R, d): sum over the channel axis."""
-    return v.tape._push("sumc", (v.i,), v.value.shape, _csum(v.tape, v.value))
+def gated_sum(v: Var, s: Var) -> Var:
+    """sum_c v[r, k, c] * s[r, c]: (R, d, C) x (R, C) -> (R, d), one pass,
+    with no (R, d, C) product stored."""
+    return v.tape._push("gated", (v.i, s.i), None, np.einsum(
+        "rkc,rc->rk", v.value, s.value, out=v.tape.empty(v.shape[:2])))
 
 
 def sum_all(a: Var) -> Var:
@@ -639,18 +611,17 @@ def _bw_scalec(g, tape, ps, aux, want):
 
 def _bw_outer(g, tape, ps, aux, want):
     s, u = tape.vals[ps[0]], tape.vals[ps[1]]
-    gu = None
-    if want[1]:
-        # running sums over C in place, then the +0.0 that _csum starts
-        # from: bitwise _csum(g * s), with one pass over the product
-        t = np.multiply(g, s[:, None, :], out=tape.scratch(g.shape))
-        np.add.accumulate(t, axis=-1, out=t)
-        gu = tape.ufunc(np.add, t[..., -1], 0.0)
-    return (_dsum(tape, g, u[:, :, None]) if want[0] else None, gu)
+    return (_dsum(tape, g, u[:, :, None]) if want[0] else None,
+            np.einsum("rkc,rc->rk", g, s, out=tape.empty(u.shape))
+            if want[1] else None)
 
 
-def _bw_sumc(g, tape, ps, shape, want):  # np.positive copies, -0.0 too
-    return (np.positive(g[:, :, None], out=tape.empty(shape)),)
+def _bw_gated(g, tape, ps, aux, want):
+    v, s = tape.vals[ps[0]], tape.vals[ps[1]]
+    return (tape.ufunc(np.multiply, g[:, :, None], s[:, None, :])
+            if want[0] else None,
+            np.einsum("rk,rkc->rc", g, v, out=tape.empty(s.shape))
+            if want[1] else None)
 
 
 def _bw_suma(g, tape, ps, shape, want):
@@ -662,7 +633,7 @@ def _bw_rbf(g, tape, ps, aux, want):
     r = tape.vals[ps[0]]
     t = tape.ufunc(np.multiply, g, val)
     t *= -2.0 * gamma
-    t *= np.subtract(r, centers, out=tape.scratch(val.shape))
+    t *= tape.ufunc(np.subtract, r, centers)
     return (np.sum(t, axis=1, keepdims=True, out=tape.empty(r.shape)),)
 
 
@@ -682,7 +653,7 @@ _BACKWARD: dict[str, Callable] = {
     "segsum": _bw_segsum, "gsum": _bw_gather, "concat": _bw_concat,
     "slice": _bw_slice, "silu": _bw_silu, "cnorm": _bw_cnorm,
     "dotl": _bw_dotl, "scalec": _bw_scalec, "outer": _bw_outer,
-    "sumc": _bw_sumc, "suma": _bw_suma, "rbf": _bw_rbf,
+    "gated": _bw_gated, "suma": _bw_suma, "rbf": _bw_rbf,
     "segsoft": _bw_segsoft, "reshape": _bw_reshape,
 }
 

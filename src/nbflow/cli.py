@@ -211,9 +211,14 @@ def cmd_train(cfg, out_dir, quiet, data_path=None):
         raise ConfigError(f"training data not found: {data_path}")
     x, Z = training.load_data_csv(data_path)
     try:
-        tc.n_validation(len(x))
+        n_train = len(x) - tc.n_validation(len(x))
     except ValueError as exc:
         raise ConfigError(f"invalid train config: train.{exc}") from exc
+    if min(tc.batch_size, n_train) > training.MAX_OT_BATCH:
+        raise ConfigError(
+            f"invalid train config: train.batch_size={tc.batch_size} with "
+            f"{n_train} training configurations exceeds the exact OT "
+            f"coupling's limit of {training.MAX_OT_BATCH}")
     result = training.train(tc, arch, x, out_dir, Z=Z, quiet=quiet)
     if not quiet:
         print(f"best epoch {result.best_epoch}, "

@@ -15,7 +15,7 @@ Feature scheme: each entity carries an invariant channel s in R^{n_h} and
 an equivariant channel v of n_h vectors in R^d.  Scalars see norms, inner
 products and type embeddings; vectors are only ever gated by scalars and
 added, which keeps rotation equivariance exact by construction.  The tape
-stores v as (R, d, C) (see ``autodiff`` for the summation orders);
+stores v as (R, d, C) (see ``autodiff`` for how it sums them);
 ``embed_features`` and ``message_step`` take and return (R, C, d).
 
 A conventional GNN on the base graph (``baseline=True``) with the same
@@ -38,9 +38,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import (Tape, Var, affine, channel_norm, concat, detach,
-                       dot_last, gather, gather_sum, gauss_rbf, outer_rows,
-                       scale_channels, segment_softmax, segment_sum, silu,
-                       slice_cols, sum_channels)
+                       dot_last, gated_sum, gather, gather_sum, gauss_rbf,
+                       outer_rows, scale_channels, segment_softmax,
+                       segment_sum, silu, slice_cols)
 from . import graphs as gt
 
 N_TIME_FEATURES = 2  # sin/cos of 2*pi*t appended to message/update/readout inputs
@@ -557,7 +557,7 @@ def _readout(tape, pv, cfg, hs, hv, rs, rv, tf_rows, dst, N):
     z = _mlp(pv, "read", rin)
     gh = slice_cols(z, 0, nh)
     gn = slice_cols(z, nh, 2 * nh)
-    contrib = sum_channels(scale_channels(hv, gh) + scale_channels(rv, gn))
+    contrib = gated_sum(hv, gh) + gated_sum(rv, gn)
     return segment_sum(contrib, dst, N)
 
 

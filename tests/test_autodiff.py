@@ -2,6 +2,7 @@
 probe-vector diagonal extraction, and pass accounting."""
 
 import contextlib
+import math
 
 import numpy as np
 import pytest
@@ -45,11 +46,6 @@ class NanPool(ad.Arena):
         self.handed += 1
         return out
 
-    def scratch(self, shape):
-        out = super().scratch(shape)
-        self.tmp.fill(np.nan)
-        return out
-
     def give(self, buf):
         assert id(buf) in self.bufs and not any(buf is b for b in self.free)
         buf.fill(np.nan)
@@ -62,7 +58,7 @@ class NanPool(ad.Arena):
 
 
 def in_pool(a, pool):
-    return any(np.shares_memory(a, b) for b in [*pool.bufs.values(), pool.tmp])
+    return any(np.shares_memory(a, b) for b in pool.bufs.values())
 
 
 @contextlib.contextmanager
@@ -391,8 +387,13 @@ class TestOpGradients:
     def test_outer_rows(self):
         def b(t, x):
             s = ad.channel_norm(x)
-            u = ad.sum_channels(x)
+            u = ad.gated_sum(x, s)
             return ad.outer_rows(s, u)
+        self._check(b, (3, 2, 3))
+
+    def test_gated_sum(self):
+        def b(t, x):
+            return ad.gated_sum(x, ad.dot_last(x, x))
         self._check(b, (3, 2, 3))
 
     def test_gather_segsum(self):
@@ -462,6 +463,7 @@ MULTI_PARENT = {
     "scalec": lambda t, r: ad.scale_channels(t.leaf(r((4, 2, 3))),
                                              t.leaf(r((4, 3)))),
     "outer": lambda t, r: ad.outer_rows(t.leaf(r((4, 2))), t.leaf(r((4, 3)))),
+    "gated": lambda t, r: ad.gated_sum(t.leaf(r((4, 2, 3))), t.leaf(r((4, 3)))),
     "concat": lambda t, r: ad.concat([t.leaf(r((4, 2))), t.leaf(r((4, 3))),
                                       t.leaf(r((4, 1)))]),
 }
@@ -601,8 +603,33 @@ def two_branch_sigmoid(x):
     return out
 
 
+def exact_sums(terms):
+    """The exactly rounded sums over the last axis, and the bound
+    len(terms) * eps * sum|terms| that any order of additions keeps to."""
+    ref = np.array([math.fsum(t) for t in terms.reshape(-1, terms.shape[-1])])
+    bound = terms.shape[-1] * np.finfo(float).eps * np.abs(terms).sum(axis=-1)
+    return ref.reshape(terms.shape[:-1]), bound
+
+
+def assert_sums(got, terms):
+    """Each entry of ``got`` sums the last axis of ``terms`` within the
+    bound (so exactly where every term is 0)."""
+    ref, bound = exact_sums(terms)
+    assert got.shape == ref.shape and np.all(np.abs(got - ref) <= bound)
+
+
+def assert_norms(got, terms):
+    """``got`` is sqrt(sum + NORM_EPS) of the last axis of ``terms``: the
+    sum's bound carried through the square root, plus 2 ulp for the
+    roundings of + eps and sqrt."""
+    ref, bound = exact_sums(terms)
+    ref = np.sqrt(ref + ad.NORM_EPS)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= bound / (2 * ref) + 2 * np.spacing(ref))
+
+
 class TestKernels:
-    """The tape's kernels against the plain numpy they replace, bitwise."""
+    """The tape's kernels against plain numpy and exactly rounded sums."""
 
     @pytest.mark.parametrize("row_shape", [(), (3,), (4, 3)])
     @pytest.mark.parametrize("idx,n_seg", [
@@ -635,49 +662,48 @@ class TestKernels:
         rng = np.random.default_rng(C + d)
         a, b = awkward(rng, (R, d, C)), awkward(rng, (R, d, C))
         a[:1], b[:1] = -0.0, np.abs(b[:1]) + 1.0  # a row of -0.0 products
-        ao, bo = channel_major(a), channel_major(b)
-        u = awkward(rng, (R, d))
-        eps = ad.NORM_EPS
-        # tapes without a pool, and on a pool's NaN-filled buffers; the
-        # sums of channel_norm and of outer's u-gradient keep +0.0 for -0.0
+        u, s = awkward(rng, (R, d)), awkward(rng, (R, C))
+        s1 = awkward(rng, (R, 1))
+        outs = []  # per run: copies of every value and gradient
+        # tapes without a pool, and on a pool's NaN-filled buffers
         for arena in (None, NanPool()):
+            outs.append([])
+
             def op(*args):
-                return run_op(*args, arena=arena)
+                v, g, grads = run_op(*args, arena=arena)
+                outs[-1] += [x.copy() for x in (v, *grads)]
+                return v, g, grads
 
             v, g, (ga,) = op(ad.channel_norm, a)
-            assert same_bits(v, np.sqrt(np.sum(ao * ao, axis=-1) + eps))
-            assert same_bits(ga, np.swapaxes(g[..., None] * ao / v[..., None],
-                                             1, 2))
+            assert_norms(v, channel_major(a * a))
+            assert same_bits(ga, g[:, None, :] * a / v[:, None, :])
             v, g, (gu,) = op(ad.channel_norm, u)  # (R, d) rows: one channel
-            assert same_bits(v, np.sqrt(np.sum(u * u, axis=-1, keepdims=True)
-                                        + eps))
+            assert_norms(v, (u * u)[:, None, :])
             assert same_bits(gu, g * u / v)
 
             v, g, (ga, gb) = op(ad.dot_last, a, b)
-            assert same_bits(v, np.sum(ao * bo, axis=-1))
-            assert same_bits(ga, np.swapaxes(g[..., None] * bo, 1, 2))
-            assert same_bits(gb, np.swapaxes(g[..., None] * ao, 1, 2))
+            assert_sums(v, channel_major(a * b))
+            assert same_bits(ga, g[:, None, :] * b)
+            assert same_bits(gb, g[:, None, :] * a)
 
-            for s in (awkward(rng, (R, C)), awkward(rng, (R, 1))):
-                v, g, (ga, gs) = op(ad.scale_channels, a, s)
-                go = channel_major(g)
-                assert same_bits(v, np.swapaxes(ao * s[..., None], 1, 2))
-                assert same_bits(ga, np.swapaxes(go * s[..., None], 1, 2))
-                assert same_bits(gs, ad._unbroadcast(
-                    np.sum(go * ao, axis=-1), s.shape))
+            for gate in (s, s1):
+                v, g, (ga, gs) = op(ad.scale_channels, a, gate)
+                assert same_bits(v, a * gate[:, None, :])
+                assert same_bits(ga, g * gate[:, None, :])
+                k = gate.shape[1]  # an (R, 1) gate sums over d and C
+                assert_sums(gs, channel_major(g * a).reshape(R, k, d * C // k))
 
-            s = awkward(rng, (R, C))
             v, g, (gs, gu) = op(ad.outer_rows, s, u)
-            go = channel_major(g)
-            assert same_bits(v, np.swapaxes(s[:, :, None] * u[:, None, :],
-                                            1, 2))
-            assert same_bits(gs, np.sum(go * u[:, None, :], axis=-1))
-            assert same_bits(gu, np.sum(go * s[:, :, None], axis=1))
+            assert same_bits(v, u[:, :, None] * s[:, None, :])
+            assert_sums(gs, channel_major(g * u[:, :, None]))
+            assert_sums(gu, g * s[:, None, :])
 
-            v, g, (ga,) = op(ad.sum_channels, a)
-            assert same_bits(v, np.sum(ao, axis=1))
-            assert same_bits(ga, np.swapaxes(
-                np.broadcast_to(g[:, None, :], ao.shape), 1, 2))
+            v, g, (ga, gs) = op(ad.gated_sum, a, s)
+            assert_sums(v, a * s[:, None, :])
+            assert same_bits(ga, g[:, :, None] * s[:, None, :])
+            assert_sums(gs, channel_major(g[:, :, None] * a))
+        # the same bits with and without a pool
+        assert all(map(same_bits, *outs))
 
     def test_gather_rejects_out_of_range_rows(self):
         tape = ad.Tape()
@@ -754,10 +780,14 @@ class TestKernels:
                    np.nan]
         x = np.concatenate([special, rng.standard_normal(500) * 30,
                             rng.uniform(-700, 700, 500)])
-        s, ref = sigmoid(x), two_branch_sigmoid(x)
+        s = sigmoid(x)
+        # the formula in extended precision, rounded once to float64
+        ref = two_branch_sigmoid(x.astype(np.longdouble)).astype(np.float64)
         nan = np.isnan(ref)
         np.testing.assert_array_equal(np.isnan(s), nan)
-        assert s[~nan].tobytes() == ref[~nan].tobytes()
+        assert np.all(np.abs(s[~nan] - ref[~nan]) <= 4 * np.spacing(ref[~nan]))
+        assert s[:2].tolist() == [0.5, 0.5]  # exact at 0, +-800 and NaN
+        assert s[6:8].tolist() == [1.0, 0.0] and np.isnan(s[8])
 
     def test_silu_backward_matches_formula(self):
         rng = np.random.default_rng(8)

@@ -86,6 +86,16 @@ class TestConfigValidation:
                     "--set", "train.validation_fraction=0.75"]) == 1
         assert "train.validation_fraction" in capsys.readouterr().err
 
+    def test_batch_above_the_ot_limit_names_key(self, tmp_path, capsys):
+        x = np.random.default_rng(0).standard_normal((700, 3, 2))
+        training.save_data_csv(tmp_path / "data.csv", x)
+        assert run(["train", "--out", tmp_path, "--quiet",
+                    "--set", "system.n=3", "--set", "model.n_hidden=4",
+                    "--set", "model.knn_k=2", "--set", "train.epochs=1",
+                    "--set", "train.batch_size=600"]) == 1
+        err = capsys.readouterr().err
+        assert "train.batch_size" in err and "512" in err
+
     def test_runtime_failure_exit_code(self, tmp_path):
         # bench requires >= 4 sweep points
         assert run(["bench", "--out", tmp_path, "--set",
