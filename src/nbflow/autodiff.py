@@ -6,7 +6,9 @@ SiLU, elementwise arithmetic with broadcasting, gather/segment-sum over
 index lists, smoothed vector norms, per-segment softmax, and a
 stop-gradient ``detach`` whose value is the identity but whose gradient is
 zero.  That closure is everything the message-passing vector fields in
-this package need.
+this package need.  No op concatenates: an affine map takes a list of
+input parts, ``[a, b] @ W = a @ W_a + b @ W_b`` with W_a, W_b blocks of
+W's rows, within the rounding bound of the concatenated product.
 
 The reverse pass propagates cotangents from a single output node back to
 the ``wrt`` vars and computes nothing else.  A node is *marked* if it is a
@@ -36,7 +38,8 @@ Ops, rules and ``Tape.vjp``'s cotangent sums write into ``tape.empty``
 buffers: ``np.empty`` on a tape without an arena, else buffers of the
 process-wide pool ``POOL`` (an ``Arena``), on which sampling
 (``flow.field_and_divergence``) and CFM training (``training``) record
-their tapes.  Every new tape on the pool rewinds it, which takes back all
+their tapes; a forward op's temporary goes back at once (``Tape.drop``).
+Every new tape on the pool rewinds it, which takes back all
 its buffers and invalidates the tapes recorded on it before (``vjp`` on
 one raises).  A reverse pass counts the cotangents on each array (a view
 holds its base): it adds in place into an array that one cotangent alone
@@ -57,6 +60,7 @@ backward-pass counts.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -151,6 +155,11 @@ class Tape:
 
     def __len__(self):
         return len(self.kinds)
+
+    def drop(self, a: np.ndarray):
+        """Give ``a``, the last buffer ``empty`` handed out, back at once."""
+        if self.log and a.base is self.log[-1]:  # a pool buffer
+            self.arena.give(self.log.pop())
 
     def _push(self, kind, parents, aux, value) -> "Var":
         self.kinds.append(kind)
@@ -383,11 +392,25 @@ class _Scatter:
         return out
 
 
-def affine(x: Var, W: Var, b: Var) -> Var:
-    """x @ W + b as one node; the product alone is never stored."""
-    v = np.matmul(x.value, W.value, out=x.tape.empty(x.shape[:-1] + W.shape[1:]))
+def affine(xs: list[Var], W: Var, b: Var) -> Var:
+    """x @ W + b as one node, x being the parts ``xs`` side by side: part k
+    multiplies its block W_k of W's rows.  Part 0's product goes into the
+    output and each later one is added into it in place, through one
+    temporary that goes back to the pool at once."""
+    tape, Wv = W.tape, W.value
+    rows = [0, *itertools.accumulate(x.shape[1] for x in xs)]
+    if rows[-1] != len(Wv):
+        raise ValueError(f"affine parts have {rows[-1]} columns, W has "
+                         f"{len(Wv)} rows")
+    shape = (len(xs[0].value), Wv.shape[1])
+    v = np.matmul(xs[0].value, Wv[:rows[1]], out=tape.empty(shape))
+    if len(xs) > 1:
+        t = tape.empty(shape)
+        for x, r0, r1 in zip(xs[1:], rows[1:], rows[2:]):
+            v += np.matmul(x.value, Wv[r0:r1], out=t)
+        tape.drop(t)
     v += b.value
-    return x.tape._push("affine", (x.i, W.i, b.i), None, v)
+    return tape._push("affine", (*(x.i for x in xs), W.i, b.i), rows, v)
 
 
 def _take(tape: Tape, a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -418,14 +441,6 @@ def gather_sum(vs: list[Var], frm: np.ndarray, seg: np.ndarray,
     m = _Scatter(seg, num_segments, frm)
     mt = _Scatter(frm, len(vs[0].value), seg)
     return [a.tape._push("gsum", (a.i,), mt, m(a.value)) for a in vs]
-
-
-def concat(vs: list[Var], axis: int = 1) -> Var:
-    tape = vs[0].tape
-    sizes = [v.value.shape[axis] for v in vs]
-    shape = vs[0].shape[:axis] + (sum(sizes),) + vs[0].shape[axis + 1:]
-    val = np.concatenate([v.value for v in vs], axis=axis, out=tape.empty(shape))
-    return tape._push("concat", tuple(v.i for v in vs), (axis, sizes), val)
 
 
 def slice_cols(a: Var, j0: int, j1: int) -> Var:
@@ -546,13 +561,21 @@ def _bw_div(g, tape, ps, aux, want):
             _unbroadcast(t, b.shape) if want[1] else None)
 
 
-def _bw_affine(g, tape, ps, aux, want):
-    vals = tape.vals
-    x, W, b = vals[ps[0]], vals[ps[1]], vals[ps[2]]
-    return (np.matmul(g, W.T, out=tape.empty(g.shape[:-1] + W.shape[:1]))
-            if want[0] else None,
-            np.matmul(x.T, g, out=tape.empty(W.shape)) if want[1] else None,
-            _unbroadcast(g, b.shape) if want[2] else None)
+def _bw_affine(g, tape, ps, rows, want):
+    vals, W, b = tape.vals, tape.vals[ps[-2]], tape.vals[ps[-1]]
+    parts = [j for j in range(len(rows) - 1) if want[j]]
+    out = [None] * (len(rows) - 1)
+    if parts:  # one product over the wanted parts' rows (and any between)
+        lo, hi = rows[parts[0]], rows[parts[-1] + 1]
+        gx = np.matmul(g, W[lo:hi].T, out=tape.empty((len(g), hi - lo)))
+        for j in parts:
+            out[j] = gx[:, rows[j] - lo:rows[j + 1] - lo]
+    gW = None
+    if want[-2]:  # x_k.T @ g into part k's rows
+        gW = tape.empty(W.shape)
+        for p, r0, r1 in zip(ps, rows, rows[1:]):
+            np.matmul(vals[p].T, g, out=gW[r0:r1])
+    return out + [gW, _unbroadcast(g, b.shape) if want[-1] else None]
 
 
 def _bw_gather(g, tape, ps, sc, want):  # also gsum's, with sc = M^T
@@ -561,15 +584,6 @@ def _bw_gather(g, tape, ps, sc, want):  # also gsum's, with sc = M^T
 
 def _bw_segsum(g, tape, ps, sc, want):  # sc.idx was checked by its forward
     return (_take(tape, g, sc.idx),)
-
-
-def _bw_concat(g, tape, ps, aux, want):
-    axis, sizes = aux
-    lead, parts, j = (slice(None),) * axis, [], 0
-    for size, w in zip(sizes, want):  # views of g
-        parts.append(g[lead + (slice(j, j + size),)] if w else None)
-        j += size
-    return parts
 
 
 def _bw_slice(g, tape, ps, aux, want):
@@ -649,9 +663,8 @@ def _bw_reshape(g, tape, ps, orig_shape, want):
 
 _BACKWARD: dict[str, Callable] = {
     "add": _bw_add, "sub": _bw_sub, "mul": _bw_mul, "div": _bw_div,
-    "affine": _bw_affine, "gather": _bw_gather,
-    "segsum": _bw_segsum, "gsum": _bw_gather, "concat": _bw_concat,
-    "slice": _bw_slice, "silu": _bw_silu, "cnorm": _bw_cnorm,
+    "affine": _bw_affine, "gather": _bw_gather, "segsum": _bw_segsum,
+    "gsum": _bw_gather, "slice": _bw_slice, "silu": _bw_silu, "cnorm": _bw_cnorm,
     "dotl": _bw_dotl, "scalec": _bw_scalec, "outer": _bw_outer,
     "gated": _bw_gated, "suma": _bw_suma, "rbf": _bw_rbf,
     "segsoft": _bw_segsoft, "reshape": _bw_reshape,

@@ -135,10 +135,15 @@ def _system_spec(cfg: dict) -> boltzmann.SystemSpec:
 
 
 def _arch_config(cfg: dict) -> net.ArchConfig:
-    try:
-        return net.ArchConfig.from_dict(cfg["model"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid model config: {exc}") from exc
+    try:  # every key is known here, and validate names the bad one
+        arch = net.ArchConfig.from_dict(cfg["model"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid model config: model.{exc}") from exc
+    n = _system_spec(cfg).n
+    if arch.knn_k is not None and arch.knn_k > n - 1:
+        raise ConfigError(f"invalid model config: model.knn_k={arch.knn_k} "
+                          f"exceeds system.n - 1 = {n - 1}")
+    return arch
 
 
 def _config_hash(cfg: dict) -> str:

@@ -31,16 +31,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import (Tape, Var, affine, channel_norm, concat, detach,
-                       dot_last, gated_sum, gather, gather_sum, gauss_rbf,
-                       outer_rows, scale_channels, segment_softmax,
-                       segment_sum, silu, slice_cols)
+from .autodiff import (Tape, Var, affine, channel_norm, detach, dot_last,
+                       gated_sum, gather, gather_sum, gauss_rbf, outer_rows,
+                       scale_channels, segment_softmax, segment_sum, silu,
+                       slice_cols)
 from . import graphs as gt
 
 N_TIME_FEATURES = 2  # sin/cos of 2*pi*t appended to message/update/readout inputs
@@ -100,21 +101,37 @@ class ArchConfig:
     seed: int = 0
 
     def validate(self):
-        if self.n_hidden < 1 or self.n_rbf < 1 or self.steps < 1:
-            raise ValueError("n_hidden, n_rbf and steps must be positive")
+        """Check every field; an error message starts with the field's name."""
+        for name, low in (("n_hidden", 1), ("n_rbf", 1), ("n_types", 1),
+                          ("steps", 1), ("knn_k", 1), ("heads", 1),
+                          ("unique_nodes", 0), ("overlap", 0)):
+            v = getattr(self, name)
+            ok = isinstance(v, numbers.Integral) and not isinstance(v, bool) \
+                and v >= low
+            if not ok and not (v is None and name in ("knn_k", "heads")):
+                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+        c = self.rbf_cutoff
+        if not (isinstance(c, numbers.Real) and not isinstance(c, bool)
+                and 0 < c < np.inf):
+            raise ValueError(f"rbf_cutoff must be a finite number > 0, got {c!r}")
         if self.attention not in (None, "product", "softmax"):
-            raise ValueError(f"unknown attention mode {self.attention!r}")
-        if self.baseline:
-            if self.heads is not None:
-                raise ValueError("baseline does not support head partitions")
-            if self.attention is not None:
-                raise ValueError("baseline does not support attention")
-        else:
-            if (self.knn_k is None) == (self.heads is None):
-                raise ValueError("set exactly one of knn_k and heads")
-        if self.heads is not None and not (0 <= self.overlap < self.heads):
-            raise ValueError("overlap must satisfy 0 <= I < H")
+            raise ValueError(f"attention must be None, 'product' or "
+                             f"'softmax', got {self.attention!r}")
+        if self.baseline and self.heads is not None:
+            raise ValueError("heads must be unset on a baseline")
+        if self.baseline and self.attention is not None:
+            raise ValueError("attention must be unset on a baseline")
+        if not self.baseline and (self.knn_k is None) == (self.heads is None):
+            raise ValueError("knn_k: set exactly one of knn_k and heads")
+        if self.heads is not None and self.overlap >= self.heads:
+            raise ValueError(f"overlap must be below heads={self.heads}, "
+                             f"got {self.overlap}")
         return self
+
+    @property
+    def n_heads(self) -> int:
+        """Base graphs per sample."""
+        return self.heads if (self.heads and not self.baseline) else 1
 
     @property
     def rbf_gamma(self) -> float:
@@ -223,9 +240,17 @@ def load_checkpoint(prefix) -> tuple[dict[str, np.ndarray], ArchConfig, dict]:
     prefix = Path(prefix)
     with open(prefix.with_suffix(".json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
+    for key, kind in (("config", dict), ("arrays", list), ("dtype", str)):
+        if not isinstance(manifest, dict) \
+                or not isinstance(manifest.get(key), kind):
+            raise ValueError(f"checkpoint manifest needs {key!r}, a JSON "
+                             f"{kind.__name__}")
+    if manifest["dtype"] != "<f8":
+        raise ValueError(f"checkpoint dtype is {manifest['dtype']!r}, not '<f8'")
     cfg = ArchConfig.from_dict(manifest["config"])
     expected = dict(param_shapes(cfg))
-    found = {rec["name"]: tuple(rec["shape"]) for rec in manifest["arrays"]}
+    found = {rec.get("name"): tuple(rec.get("shape", ()))
+             for rec in manifest["arrays"]}
     for name in [*expected, *found]:  # shape None: the array is absent
         if found.get(name) != expected.get(name):
             raise ValueError(f"checkpoint array {name!r} has shape "
@@ -239,6 +264,8 @@ def load_checkpoint(prefix) -> tuple[dict[str, np.ndarray], ArchConfig, dict]:
             raise ValueError(f"checkpoint array {name!r} runs past the end of "
                              f"the blob ({blob.size} floats)")
         params[name] = blob[off:off + size].reshape(shape).astype(np.float64)
+        if not np.all(np.isfinite(params[name])):
+            raise ValueError(f"checkpoint array {name!r} has non-finite entries")
         off += size
     if off != blob.size:
         raise ValueError("checkpoint blob size does not match manifest")
@@ -273,8 +300,7 @@ def sample_graphs(x: np.ndarray, cfg: ArchConfig) -> list[gt.DirectedGraph]:
     if n == 1:
         empty = gt.DirectedGraph(n=1, src=np.zeros(0, dtype=np.intp),
                                  dst=np.zeros(0, dtype=np.intp))
-        n_heads = cfg.heads if (cfg.heads and not cfg.baseline) else 1
-        return [empty] * n_heads
+        return [empty] * cfg.n_heads
     if cfg.baseline:
         if cfg.knn_k is None:
             return [gt.complete_graph(n)]
@@ -295,14 +321,28 @@ def make_plan(xs: np.ndarray, cfg: ArchConfig,
     so a head needs one line graph and one pruning schedule, whose triples
     come out in per-sample order.  ``graph_override`` (one list of head
     graphs per sample) bypasses geometric construction; tests use it to
-    inject hand-built topologies.
+    inject hand-built topologies; each of its graphs must be over the
+    sample's n nodes, or nodes of the next sample would join it.
     """
     xs = np.asarray(xs, dtype=np.float64)
     B, n, _ = xs.shape
-    if graph_override is not None:
-        per_sample = graph_override
-    else:
+    if graph_override is None:
         per_sample = [sample_graphs(xs[s], cfg) for s in range(B)]
+    else:
+        per_sample = graph_override
+        if len(per_sample) != B:
+            raise ValueError(f"graph_override has {len(per_sample)} samples, "
+                             f"the batch has {B}")
+        for s, head_graphs in enumerate(per_sample):
+            if len(head_graphs) != cfg.n_heads:
+                raise ValueError(f"graph_override sample {s} has "
+                                 f"{len(head_graphs)} head graphs, expected "
+                                 f"{cfg.n_heads}")
+            for h, g in enumerate(head_graphs):
+                if g.n != n:
+                    raise ValueError(f"graph_override sample {s} head {h} is "
+                                     f"a graph over {g.n} nodes, the sample "
+                                     f"has {n}")
     heads = []
     for head_graphs in zip(*per_sample):
         counts = [g.n_edges for g in head_graphs]
@@ -332,16 +372,16 @@ def make_plan(xs: np.ndarray, cfg: ArchConfig,
 # tape builders
 # ---------------------------------------------------------------------------
 
-def _mlp(pv, name, x: Var) -> Var:
-    h = silu(affine(x, pv[f"{name}.W1"], pv[f"{name}.b1"]))
-    return affine(h, pv[f"{name}.Wo"], pv[f"{name}.bo"])
+def _mlp(pv, name, parts: list[Var]) -> Var:
+    """silu(x @ W1 + b1) @ Wo + bo of x, the parts side by side."""
+    h = silu(affine(parts, pv[f"{name}.W1"], pv[f"{name}.b1"]))
+    return affine([h], pv[f"{name}.Wo"], pv[f"{name}.bo"])
 
 
 def _feature_map(pv, name, s: Var, v: Var) -> tuple[Var, Var]:
-    f = concat([s, channel_norm(v)])
-    h = silu(affine(f, pv[f"{name}.W1"], pv[f"{name}.b1"]))
-    s2 = affine(h, pv[f"{name}.Ws"], pv[f"{name}.bs"])
-    g = affine(h, pv[f"{name}.Wg"], pv[f"{name}.bg"])
+    h = silu(affine([s, channel_norm(v)], pv[f"{name}.W1"], pv[f"{name}.b1"]))
+    s2 = affine([h], pv[f"{name}.Ws"], pv[f"{name}.bs"])
+    g = affine([h], pv[f"{name}.Wg"], pv[f"{name}.bg"])
     return s2, scale_channels(v, g)
 
 
@@ -355,23 +395,19 @@ def _embed(tape, pv, cfg: ArchConfig, delta: Var, z_rows: np.ndarray,
     """
     r = channel_norm(delta)
     unit = delta / r
-    feats = [gauss_rbf(r, cfg.rbf_centers, cfg.rbf_gamma)]
-    onehot = np.zeros((len(z_rows), cfg.n_types))
-    onehot[np.arange(len(z_rows)), np.asarray(z_rows, dtype=int)] = 1.0
-    feats.append(tape.const(onehot))
+    feats = [gauss_rbf(r, cfg.rbf_centers, cfg.rbf_gamma),
+             tape.const(np.eye(cfg.n_types)[np.asarray(z_rows, dtype=int)])]
     if cfg.unique_nodes:
-        uoh = np.zeros((len(z_rows), cfg.unique_nodes))
-        uoh[np.arange(len(local_ids)), np.asarray(local_ids, dtype=int)] = 1.0
-        feats.append(tape.const(uoh))
-    h = silu(affine(concat(feats), pv["embed.W1"], pv["embed.b1"]))
-    s = affine(h, pv["embed.W2"], pv["embed.b2"])
-    g = affine(s, pv["embed.Wg"], pv["embed.bg"])
+        feats.append(tape.const(np.eye(cfg.unique_nodes)[local_ids]))
+    h = silu(affine(feats, pv["embed.W1"], pv["embed.b1"]))
+    s = affine([h], pv["embed.W2"], pv["embed.b2"])
+    g = affine([s], pv["embed.Wg"], pv["embed.bg"])
     return s, outer_rows(g, unit)
 
 
-def _split3(z: Var, nh: int):
-    return (slice_cols(z, 0, nh), slice_cols(z, nh, 2 * nh),
-            slice_cols(z, 2 * nh, 3 * nh))
+def _blocks(z: Var, nh: int) -> list[Var]:
+    """z's columns in consecutive blocks of nh."""
+    return [slice_cols(z, j, j + nh) for j in range(0, z.shape[1], nh)]
 
 
 def _message_rows(tape, pv, cfg, hs, hv, t_from, t_to, tf_rows):
@@ -386,10 +422,10 @@ def _message_rows(tape, pv, cfg, hs, hv, t_from, t_to, tf_rows):
     s_ij, v_ij = gather(hs, t_to), gather(hv, t_to)
     s_ki, v_ki = gather(hs, t_from), gather(hv, t_from)
     tfe = tape.const(tf_rows)
-    pair = concat([s_ij, s_ki, dot_last(v_ij, v_ki), tfe])
+    pair = [s_ij, s_ki, dot_last(v_ij, v_ki), tfe]
     if cfg.attention is None:
         z = _mlp(pv, "msg", pair)
-        m_s, g1, g2 = _split3(z, nh)
+        m_s, g1, g2 = _blocks(z, nh)
         m_v = scale_channels(v_ki, g1) + scale_channels(v_ij, g2)
     elif cfg.attention == "product":
         a = _mlp(pv, "att", pair)
@@ -399,20 +435,16 @@ def _message_rows(tape, pv, cfg, hs, hv, t_from, t_to, tf_rows):
     else:  # softmax over each receiver's in-neighborhood
         y = _mlp(pv, "att", pair)
         alpha = segment_softmax(y, t_to, hs.shape[0])
-        z = _mlp(pv, "attval", concat([s_ki, tfe]))
-        val = slice_cols(z, 0, nh)
-        gv = slice_cols(z, nh, 2 * nh)
+        z = _mlp(pv, "attval", [s_ki, tfe])
+        val, gv = _blocks(z, nh)
         m_s = val * alpha
         m_v = scale_channels(v_ki, gv * alpha)
     return m_s, m_v
 
 
 def _update(tape, pv, cfg, hs, hv, M_s, M_v, tf_rows):
-    nh = cfg.n_hidden
-    uin = concat([hs, M_s, channel_norm(M_v), tape.const(tf_rows)])
-    z = _mlp(pv, "upd", uin)
-    ds = slice_cols(z, 0, nh)
-    gv = slice_cols(z, nh, 2 * nh)
+    z = _mlp(pv, "upd", [hs, M_s, channel_norm(M_v), tape.const(tf_rows)])
+    ds, gv = _blocks(z, cfg.n_hidden)
     return hs + ds, hv + scale_channels(M_v, gv)
 
 
@@ -552,11 +584,8 @@ def _readout(tape, pv, cfg, hs, hv, rs, rv, tf_rows, dst, N):
     (hs, hv) are the edge's message features, (rs, rv) the receiver-side
     input; the velocity is a scalar-gated sum of both vector channels.
     """
-    nh = cfg.n_hidden
-    rin = concat([hs, rs, dot_last(hv, rv), tape.const(tf_rows)])
-    z = _mlp(pv, "read", rin)
-    gh = slice_cols(z, 0, nh)
-    gn = slice_cols(z, nh, 2 * nh)
+    z = _mlp(pv, "read", [hs, rs, dot_last(hv, rv), tape.const(tf_rows)])
+    gh, gn = _blocks(z, cfg.n_hidden)
     contrib = gated_sum(hv, gh) + gated_sum(rv, gn)
     return segment_sum(contrib, dst, N)
 

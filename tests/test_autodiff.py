@@ -125,7 +125,7 @@ class TestVjp:
 
         def build(tape, x):
             xv = tape.leaf(x.reshape(1, 3))
-            return xv, ad.affine(xv, tape.const(A.T), tape.const(np.zeros(3)))
+            return xv, ad.affine([xv], tape.const(A.T), tape.const(np.zeros(3)))
         prog = ad.Program(build, n_in=3)
         ad.forward_eval(prog, np.ones(3))
         g = ad.vjp(prog, np.array([[1.0, 0.0, 0.0]]))
@@ -354,14 +354,28 @@ class TestOpGradients:
 
     def test_affine(self):
         W = np.random.default_rng(1).standard_normal((3, 4))
-        self._check(lambda t, x: ad.affine(x, t.const(W), t.const(np.zeros(4))),
+        self._check(lambda t, x: ad.affine([x], t.const(W), t.const(np.zeros(4))),
                     (5, 3))
 
     def test_affine_weight_and_bias(self):
         rng = np.random.default_rng(2)
         X, W, b = (rng.standard_normal(s) for s in ((5, 3), (3, 4), (4,)))
-        self._check(lambda t, w: ad.affine(t.const(X), w, t.const(b)), (3, 4))
-        self._check(lambda t, c: ad.affine(t.const(X), t.const(W), c), (4,))
+        self._check(lambda t, w: ad.affine([t.const(X)], w, t.const(b)), (3, 4))
+        self._check(lambda t, c: ad.affine([t.const(X)], t.const(W), c), (4,))
+
+    def test_affine_over_parts(self):
+        # three parts, one of them a const, each with its block of W's rows
+        rng = np.random.default_rng(3)
+        C, W, b = (rng.standard_normal(s) for s in ((5, 2), (8, 4), (4,)))
+        self._check(lambda t, x: ad.affine([x, t.const(C), x * x],
+                                           t.const(W), t.const(b)), (5, 3))
+        X = rng.standard_normal((5, 3))
+        self._check(lambda t, w: ad.affine([t.const(X), t.const(C), t.const(X)],
+                                           w, t.const(b)), (8, 4))
+        tape = ad.Tape()
+        with pytest.raises(ValueError, match="8 columns, W has 9 rows"):
+            ad.affine([tape.leaf(X), tape.leaf(C), tape.leaf(X)],
+                      tape.leaf(np.ones((9, 4))), tape.leaf(b))
 
     def test_silu(self):
         self._check(lambda t, x: ad.silu(x), (4, 3))
@@ -405,11 +419,8 @@ class TestOpGradients:
             return ad.segment_sum(rows, seg, 2)
         self._check(b, (3, 4))
 
-    def test_concat_slice(self):
-        def b(t, x):
-            c = ad.concat([x, x * 3.0])
-            return ad.slice_cols(c, 2, 5)
-        self._check(b, (3, 3))
+    def test_slice_cols(self):
+        self._check(lambda t, x: ad.slice_cols(x * 3.0, 1, 3), (3, 4))
 
     def test_rbf(self):
         centers = np.linspace(0.0, 2.0, 5)
@@ -452,30 +463,33 @@ class TestDetachValueInvariance:
 
 
 # multi-parent ops on fresh leaves: the rules that must honour ``want``
+# (a case is named after its op's kind, plus "-" and a variant)
 MULTI_PARENT = {
     "add": lambda t, r: t.leaf(r((4, 3))) + t.leaf(r((3,))),
     "sub": lambda t, r: t.leaf(r((4, 3))) - t.leaf(r((3,))),
     "mul": lambda t, r: t.leaf(r((4, 3))) * t.leaf(r((4, 1))),
     "div": lambda t, r: t.leaf(r((4, 3))) / t.leaf(np.abs(r((3,))) + 1.0),
-    "affine": lambda t, r: ad.affine(t.leaf(r((4, 3))), t.leaf(r((3, 2))),
+    "affine": lambda t, r: ad.affine([t.leaf(r((4, 3)))], t.leaf(r((3, 2))),
                                      t.leaf(r((2,)))),
+    "affine-parts": lambda t, r: ad.affine(
+        [t.leaf(r((4, 2))), t.leaf(r((4, 3))), t.leaf(r((4, 1)))],
+        t.leaf(r((6, 2))), t.leaf(r((2,)))),
     "dotl": lambda t, r: ad.dot_last(t.leaf(r((4, 2, 3))), t.leaf(r((4, 2, 3)))),
     "scalec": lambda t, r: ad.scale_channels(t.leaf(r((4, 2, 3))),
                                              t.leaf(r((4, 3)))),
     "outer": lambda t, r: ad.outer_rows(t.leaf(r((4, 2))), t.leaf(r((4, 3)))),
     "gated": lambda t, r: ad.gated_sum(t.leaf(r((4, 2, 3))), t.leaf(r((4, 3)))),
-    "concat": lambda t, r: ad.concat([t.leaf(r((4, 2))), t.leaf(r((4, 3))),
-                                      t.leaf(r((4, 1)))]),
 }
 
 
 class TestPrunedReversePass:
-    @pytest.mark.parametrize("kind", sorted(MULTI_PARENT))
-    def test_unwanted_parent_gets_none(self, kind):
+    @pytest.mark.parametrize("case", sorted(MULTI_PARENT))
+    def test_unwanted_parent_gets_none(self, case):
         rng = np.random.default_rng(0)
         tape = ad.Tape()
-        out = MULTI_PARENT[kind](tape, rng.standard_normal)
-        assert tape.kinds[out.i] == kind
+        out = MULTI_PARENT[case](tape, rng.standard_normal)
+        kind = tape.kinds[out.i]
+        assert kind == case.split("-")[0]
         ps = tape.parents[out.i]
         g = rng.standard_normal(out.shape)
         rule = ad._BACKWARD[kind]
@@ -499,7 +513,7 @@ class TestPrunedReversePass:
             tape = prog.tape
             kinds |= {tape.kinds[i] for i in range(len(tape))
                       if len(tape.parents[i]) > 1}
-        assert kinds == set(MULTI_PARENT)
+        assert kinds == {case.split("-")[0] for case in MULTI_PARENT}
 
     def test_gather_sum_rule_runs_on_pairwise_tapes(self, monkeypatch):
         cfg = net.ArchConfig(n_hidden=4, steps=2, knn_k=3,
@@ -606,7 +620,8 @@ def two_branch_sigmoid(x):
 def exact_sums(terms):
     """The exactly rounded sums over the last axis, and the bound
     len(terms) * eps * sum|terms| that any order of additions keeps to."""
-    ref = np.array([math.fsum(t) for t in terms.reshape(-1, terms.shape[-1])])
+    flat = terms.reshape(math.prod(terms.shape[:-1]), terms.shape[-1])
+    ref = np.array([math.fsum(t) for t in flat])
     bound = terms.shape[-1] * np.finfo(float).eps * np.abs(terms).sum(axis=-1)
     return ref.reshape(terms.shape[:-1]), bound
 
@@ -703,6 +718,29 @@ class TestKernels:
             assert same_bits(ga, g[:, :, None] * s[:, None, :])
             assert_sums(gs, channel_major(g[:, :, None] * a))
         # the same bits with and without a pool
+        assert all(map(same_bits, *outs))
+
+    @pytest.mark.parametrize("R", [0, 1, 7, 300])
+    def test_affine_over_parts_matches_concat_formula(self, R):
+        # x @ W + b of the parts' concatenation x, a zero-width part included
+        rng = np.random.default_rng(R)
+        widths = (3, 0, 4, 2)
+        xs = [awkward(rng, (R, w)) for w in widths]
+        W, b = awkward(rng, (sum(widths), 5)), awkward(rng, (5,))
+        x = np.concatenate(xs, axis=1)
+        outs = []
+        for arena in (None, NanPool()):
+            v, g, grads = run_op(lambda *a: ad.affine(list(a[:-2]), *a[-2:]),
+                                 *xs, W, b, arena=arena)
+            outs.append([a.copy() for a in (v, *grads)])
+            assert_sums(v, np.concatenate(
+                [x[:, None, :] * W.T, np.broadcast_to(b[:, None], (R, 5, 1))],
+                axis=2))
+            for gx, part, r0 in zip(grads, xs, np.cumsum((0,) + widths)):
+                assert_sums(gx, g[:, None, :] * W[r0:r0 + part.shape[1]])
+            assert_sums(grads[-2], np.moveaxis(x[:, :, None] * g[:, None, :],
+                                               0, -1))
+            assert_sums(grads[-1], g.T)
         assert all(map(same_bits, *outs))
 
     def test_gather_rejects_out_of_range_rows(self):

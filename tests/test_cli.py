@@ -46,6 +46,21 @@ class TestConfigValidation:
                     "--set", f"train.{key}=0"]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("n_types", 0), ("rbf_cutoff", 0), ("rbf_cutoff", -1), ("knn_k", 2.5),
+        ("knn_k", 0), ("knn_k", 3), ("n_hidden", 0), ("steps", "two")])
+    def test_model_config_error_names_key(self, tmp_path, capsys, key, value):
+        # knn_k=3 leaves too few neighbours among system.n=3 particles
+        x = np.random.default_rng(0).standard_normal((8, 3, 2))
+        training.save_data_csv(tmp_path / "data.csv", x)
+        args = ["--set", "system.n=3", "--set", "model.n_hidden=4",
+                "--set", "model.knn_k=2", "--set", "train.epochs=1",
+                "--set", f"model.{key}={value}"]
+        assert run(["train", "--out", tmp_path, "--quiet"] + args) == 1
+        assert f"model.{key}" in capsys.readouterr().err
+        assert run(["inspect-graph", "--out", tmp_path, "--quiet"] + args) == 1
+        assert f"model.{key}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["count", "batch_size", "integrator_steps"])
     def test_sample_count_below_one_names_key(self, tmp_path, capsys, key):
         cfg = net.ArchConfig(n_hidden=4, steps=1, knn_k=2).validate()

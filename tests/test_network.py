@@ -144,6 +144,25 @@ class TestForwardBasics:
             net.make_field_program(params, cfg, 4, 2, Z=np.zeros(8, int),
                                    batch=2)
 
+    def test_graph_override_is_checked_per_sample_and_head(self):
+        # a 6-node graph for a 5-particle sample would reach into the next
+        # sample, whose particle 0 would then move sample 0's velocity
+        cfg = net.ArchConfig(n_hidden=4, steps=1, knn_k=2).validate()
+        params = net.init_params(cfg, seed=0)
+        x = np.random.default_rng(3).standard_normal((3, 5, 2))
+        good = [[gt.build_knn_graph(x[s], 2)] for s in range(3)]
+        net.hollow_forward(params, cfg, x, graph_override=good)
+        cases = [
+            (good[:2], "graph_override has 2 samples, the batch has 3"),
+            ([good[0], good[1] * 2, good[2]],
+             "graph_override sample 1 has 2 head graphs, expected 1"),
+            ([[gt.complete_graph(6)], good[1], good[2]],
+             "graph_override sample 0 head 0 is a graph over 6 nodes, the "
+             "sample has 5")]
+        for override, match in cases:
+            with pytest.raises(ValueError, match=match):
+                net.hollow_forward(params, cfg, x, graph_override=override)
+
     def test_forward_dispatch_guards(self):
         cfg = net.ArchConfig(n_hidden=4, baseline=True).validate()
         params = net.init_params(cfg, seed=0)
@@ -652,6 +671,33 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="embed.W1"):
             net.load_checkpoint(tmp_path / "ck")
 
+    @pytest.mark.parametrize("edit,match", [
+        (lambda m: m.pop("config"), "'config'"),
+        (lambda m: m.pop("arrays"), "'arrays'"),
+        (lambda m: m.update(arrays={}), "'arrays'"),
+        (lambda m: m.update(dtype="<f4"), "dtype is '<f4', not '<f8'"),
+        (lambda m: m.pop("dtype"), "'dtype'"),
+        (lambda m: m["arrays"][2].pop("shape"), r"'embed.W2' has shape \(\)")],
+        ids=["no-config", "no-arrays", "arrays-object", "f4", "no-dtype",
+             "no-shape"])
+    def test_malformed_manifest_names_the_key(self, tmp_path, edit, match):
+        cfg = net.ArchConfig(n_hidden=4, steps=1, knn_k=1).validate()
+        net.save_checkpoint(tmp_path / "ck", net.init_params(cfg, seed=0), cfg)
+        path = tmp_path / "ck.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=match):
+            net.load_checkpoint(tmp_path / "ck")
+
+    def test_non_finite_weight_names_the_array(self, tmp_path):
+        cfg = net.ArchConfig(n_hidden=4, steps=1, knn_k=1).validate()
+        params = net.init_params(cfg, seed=0)
+        params["upd.W1"][1, 2] = np.nan
+        net.save_checkpoint(tmp_path / "ck", params, cfg)
+        with pytest.raises(ValueError, match="'upd.W1' has non-finite"):
+            net.load_checkpoint(tmp_path / "ck")
+
 
 class TestParticleConfiguration:
     def test_forward_accepts_configuration_object(self):
@@ -689,6 +735,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="attention"):
             net.ArchConfig(n_hidden=4, baseline=True,
                            attention=attention).validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_hidden", 0), ("n_rbf", 0), ("n_types", 0), ("steps", 0),
+        ("steps", 2.0), ("n_hidden", True), ("knn_k", 0), ("knn_k", 2.5),
+        ("unique_nodes", -1), ("rbf_cutoff", 0.0), ("rbf_cutoff", -1.0),
+        ("rbf_cutoff", np.inf), ("rbf_cutoff", np.nan), ("rbf_cutoff", "5")])
+    def test_bad_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            net.ArchConfig(**{"knn_k": 2, field: value}).validate()
+
+    @pytest.mark.parametrize("field,value", [("heads", 0), ("overlap", -1),
+                                             ("overlap", 2)])
+    def test_bad_head_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            net.ArchConfig(**{"heads": 2, field: value}).validate()
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="n_layres"):
