@@ -9,7 +9,7 @@ are shift-invariant so the missing constant is irrelevant.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -116,11 +116,6 @@ def energy(x: np.ndarray, spec: SystemSpec) -> np.ndarray | float:
     return float(e[0]) if single else e
 
 
-def log_target(x, spec: SystemSpec):
-    """Unnormalized log mu(x) = -beta * u(x)."""
-    return -spec.beta * energy(x, spec)
-
-
 # ---------------------------------------------------------------------------
 # Metropolis sampling
 # ---------------------------------------------------------------------------
@@ -199,7 +194,6 @@ class WeightedSamples:
     logrho1: np.ndarray
     logw: np.ndarray
     n_rejected: int = 0
-    metadata: dict = field(default_factory=dict)
 
 
 def importance_weights(x: np.ndarray, logrho1: np.ndarray,

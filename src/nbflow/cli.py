@@ -215,6 +215,12 @@ def cmd_train(cfg, out_dir, quiet, data_path=None):
     if not data_path.exists():
         raise ConfigError(f"training data not found: {data_path}")
     x, Z = training.load_data_csv(data_path)
+    spec = _system_spec(cfg)
+    for key, want, got in zip("nd", (spec.n, spec.d), x.shape[1:]):
+        if got != want:
+            raise ConfigError(f"system.{key}={want} does not match "
+                              f"{data_path}, whose configurations have "
+                              f"{key}={got}")
     try:
         n_train = len(x) - tc.n_validation(len(x))
     except ValueError as exc:

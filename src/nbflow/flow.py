@@ -8,19 +8,22 @@ divergence is evaluated at the same stage points as the velocity.
 
 ``field_and_divergence`` is the one evaluation of the velocity with its
 divergence; ``divergence``, ``ModelField.rate`` (the RK4 rate) and the
-benchmark step all call it.  Divergence modes:
+benchmark step all call it.  Every mode builds one program for the whole
+batch, evaluated as one disjoint union of its samples, and reads that
+program's Jacobian diagonal along probe vectors:
 
 - ``hollow``: detach the conditioner path and read the full Jacobian
   diagonal with d probe backward passes (valid only for the hollow field,
   whose detached Jacobian is block-diagonal).
 - ``brute``: n*d backward passes with unit cotangents; works for any
   field and is the reference the hollow mode must match exactly.
-- ``fd``: trace of the central finite-difference Jacobian, one sample at
-  a time; the slow independent oracle.
+- ``fd``: brute's probes read by central differences instead, on all
+  samples at once (2*n*d + 1 forward evaluations); the slow independent
+  oracle.
 
 Both backward-pass modes are ``autodiff.jacobian_diagonal`` with a
-different probe set.  Batches evaluate as one disjoint union, so hollow
-mode still spends only d backward passes per stage for the whole batch.
+different probe set, so hollow mode spends only d backward passes per
+stage for the whole batch.  All three modes return the same velocity.
 """
 
 from __future__ import annotations
@@ -91,46 +94,39 @@ def field_and_divergence(params, cfg: net.ArchConfig, x, Z=None,
 
     Returns (velocity (B, n, d), divergence (B,), stats); ``stats`` holds
     the reverse-pass count and the seconds spent on the forward pass
-    (graph plan included) and on the divergence.  Hollow and brute mode
-    evaluate the batch as one program and read its diagonal with d or n*d
-    probe passes; fd evaluates one program per sample, with that sample's
-    labels, time and graph override, and differentiates it numerically.
-    Every tape is recorded on ``autodiff.POOL``; the arrays returned are
-    not pool memory.
+    (graph plan included) and on the divergence.  Every mode evaluates the
+    batch as one program, with per-sample labels, times and graph
+    overrides; hollow and brute mode read its diagonal with d or n*d probe
+    passes, fd by central differences along brute's n*d probes.  Every
+    tape is recorded on ``autodiff.POOL``; the arrays returned are not
+    pool memory.
     """
     _check_mode(cfg, mode)
     x = np.asarray(x, dtype=np.float64)
     B, n, d = x.shape
+    xf = x.reshape(-1)
+    probes = (ad.probe_vectors(B * n, d) if mode == "hollow"
+              else ad.probe_vectors(B, n * d))
+    t0 = time.perf_counter()
+    prog = net.make_field_program(params, cfg, n, d, Z=Z, t=t, batch=B,
+                                  graph_override=graph_override,
+                                  detach_conditioner=(mode == "hollow"))
+    prog.arena = ad.POOL
+    vel = ad.forward_eval(prog, xf)
+    t1 = time.perf_counter()
     if mode == "fd":
-        Zs, ts, go = net.batch_inputs(B, n, Z, t, graph_override)
-        chunks = [(x[s:s + 1], Zs[s], ts[s], None if go is None else go[s])
-                  for s in range(B)]
+        # samples are independent, so moving coordinate i of every sample
+        # at once (along probe i) gives column i of every sample's own
+        # Jacobian block
+        J = ad.full_jacobian_fd(
+            lambda u: ad.forward_eval(prog, xf + u @ probes), np.zeros(n * d))
+        diag = np.diagonal(J.reshape(B, n * d, n * d), axis1=1, axis2=2)
     else:
-        chunks = [(x, Z, t, graph_override)]
-        probes = (ad.probe_vectors(B * n, d) if mode == "hollow"
-                  else ad.probe_vectors(B, n * d))
-    stats = {"reverse_passes": 0, "seconds_forward": 0.0,
-             "seconds_divergence": 0.0}
-    vel, diag = [], []
-    for xc, Zc, tc, goc in chunks:
-        t0 = time.perf_counter()
-        prog = net.make_field_program(params, cfg, n, d, Z=Zc, t=tc,
-                                      batch=len(xc), graph_override=goc,
-                                      detach_conditioner=(mode == "hollow"))
-        prog.arena = ad.POOL
-        vel.append(ad.forward_eval(prog, xc.reshape(-1)))
-        t1 = time.perf_counter()
-        if mode == "fd":
-            J = ad.full_jacobian_fd(lambda v: ad.forward_eval(prog, v),
-                                    xc.reshape(-1))
-            diag.append(np.diag(J))
-        else:
-            diag.append(ad.jacobian_diagonal(prog, probes))
-        stats["reverse_passes"] += prog.tape.n_reverse_passes
-        stats["seconds_forward"] += t1 - t0
-        stats["seconds_divergence"] += time.perf_counter() - t1
-    div = np.concatenate(diag).reshape(B, n * d).sum(axis=1)
-    return np.concatenate(vel).reshape(B, n, d), div, stats
+        diag = ad.jacobian_diagonal(prog, probes).reshape(B, n * d)
+    stats = {"reverse_passes": prog.tape.n_reverse_passes,
+             "seconds_forward": t1 - t0,
+             "seconds_divergence": time.perf_counter() - t1}
+    return vel.reshape(B, n, d), diag.sum(axis=1), stats
 
 
 def divergence(params, cfg: net.ArchConfig, x, Z=None, t: float = 0.0,

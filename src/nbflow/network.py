@@ -322,7 +322,8 @@ def make_plan(xs: np.ndarray, cfg: ArchConfig,
     come out in per-sample order.  ``graph_override`` (one list of head
     graphs per sample) bypasses geometric construction; tests use it to
     inject hand-built topologies; each of its graphs must be over the
-    sample's n nodes, or nodes of the next sample would join it.
+    sample's n nodes, with every edge end in 0..n-1, or nodes of the next
+    sample would join it.
     """
     xs = np.asarray(xs, dtype=np.float64)
     B, n, _ = xs.shape
@@ -343,6 +344,10 @@ def make_plan(xs: np.ndarray, cfg: ArchConfig,
                     raise ValueError(f"graph_override sample {s} head {h} is "
                                      f"a graph over {g.n} nodes, the sample "
                                      f"has {n}")
+                ends = np.concatenate([g.src, g.dst])
+                if ends.size and not 0 <= ends.min() <= ends.max() < n:
+                    raise ValueError(f"graph_override sample {s} head {h} "
+                                     f"has an edge end outside 0..{n - 1}")
     heads = []
     for head_graphs in zip(*per_sample):
         counts = [g.n_edges for g in head_graphs]

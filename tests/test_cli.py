@@ -91,6 +91,20 @@ class TestConfigValidation:
                     "--set", "train.seed=5"]) == 1
         assert "train.seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,k", [("n", 6, 4), ("d", 3, 2)])
+    def test_train_data_must_match_system(self, tmp_path, capsys, key, value,
+                                          k):
+        # the knn_k check reads system.n, so it must be the data's n
+        x = np.random.default_rng(0).standard_normal((8, 3, 2))
+        training.save_data_csv(tmp_path / "data.csv", x)
+        assert run(["train", "--out", tmp_path, "--quiet",
+                    "--set", "system.n=3", "--set", f"system.{key}={value}",
+                    "--set", "model.n_hidden=4", "--set", f"model.knn_k={k}",
+                    "--set", "train.epochs=1"]) == 1
+        err = capsys.readouterr().err
+        assert f"system.{key}={value}" in err
+        assert f"{key}={dict(n=3, d=2)[key]}" in err
+
     def test_split_that_leaves_no_training_data_names_key(self, tmp_path,
                                                            capsys):
         x = np.random.default_rng(0).standard_normal((2, 3, 2))

@@ -331,23 +331,34 @@ class TestModelFieldArena:
             steps = np.diff([size[k] for size in sizes])
             assert np.any(steps > 0) and np.any(steps < 0)
 
-    def test_fd_mode_matches_fresh_programs(self):
+    def test_fd_mode_reads_each_sample_jacobian(self):
+        # one program for the batch; each sample's own program is the oracle
         cfg = net.ArchConfig(n_hidden=5, steps=2, knn_k=2, n_types=2).validate()
         params = net.init_params(cfg, seed=6)
         x = np.random.default_rng(7).standard_normal((2, 4, 2))
         Z = np.array([[0, 1, 1, 0], [1, 0, 0, 1]])
         with pool_swapped(NanPool()) as pool:
-            vel, div, _ = flow.field_and_divergence(params, cfg, x, Z, 0.3, "fd")
-        ref_vel, ref_diag = [], []
-        for s in range(2):  # one program per sample, as fd mode evaluates
+            vel, div, stats = flow.field_and_divergence(params, cfg, x, Z, 0.3,
+                                                        "fd")
+        for s in range(2):
             prog = net.make_field_program(params, cfg, 4, 2, Z=Z[s], t=0.3)
-            ref_vel.append(ad.forward_eval(prog, x[s].reshape(-1)))
-            ref_diag.append(np.diag(ad.full_jacobian_fd(
-                lambda v: ad.forward_eval(prog, v), x[s].reshape(-1))))
-        assert vel.tobytes() == np.concatenate(ref_vel).reshape(x.shape).tobytes()
-        assert div.tobytes() == np.concatenate(ref_diag).reshape(
-            2, -1).sum(axis=1).tobytes()
+            J = ad.full_jacobian_fd(lambda v: ad.forward_eval(prog, v),
+                                    x[s].reshape(-1))
+            assert abs(div[s] - np.trace(J)) <= 1e-9
+        shared = flow.divergence(params, cfg, x, Z[0], 0.3, "fd")
+        assert abs(shared[1] - div[1]) > 1e-6  # sample 1's labels matter
         assert not in_pool(vel, pool) and not in_pool(div, pool)
+        assert stats["reverse_passes"] == 0
+
+    @pytest.mark.parametrize("attention", ["product", "softmax"])
+    def test_fd_velocity_is_the_batch_program_velocity(self, attention):
+        cfg = net.ArchConfig(n_hidden=32, steps=2, knn_k=4, attention=attention,
+                             pairwise_diff=True).validate()
+        params = net.init_params(cfg, seed=3)
+        x = np.random.default_rng(4).standard_normal((8, 13, 3))
+        vel = [flow.field_and_divergence(params, cfg, x, t=0.4, mode=mode)[0]
+               for mode in ("hollow", "brute", "fd")]
+        assert vel[0].tobytes() == vel[1].tobytes() == vel[2].tobytes()
 
     def test_later_stages_allocate_no_slot(self):
         # a fixed graph keeps every shape, so later stages make no buffer

@@ -163,6 +163,19 @@ class TestForwardBasics:
             with pytest.raises(ValueError, match=match):
                 net.hollow_forward(params, cfg, x, graph_override=override)
 
+    def test_graph_override_edge_ends_are_in_range(self):
+        # node 5 of a 5-particle sample is the next sample's particle 0
+        cfg = net.ArchConfig(n_hidden=4, steps=1, knn_k=2).validate()
+        params = net.init_params(cfg, seed=0)
+        x = np.random.default_rng(3).standard_normal((2, 5, 2))
+        good = gt.build_knn_graph(x[0], 2)
+        for bad in (gt.DirectedGraph(5, [0, 5], [5, 0]),
+                    gt.DirectedGraph(5, [0, -1], [1, 0])):
+            with pytest.raises(ValueError, match="graph_override sample 1 "
+                               r"head 0 has an edge end outside 0\.\.4"):
+                net.hollow_forward(params, cfg, x,
+                                   graph_override=[[good], [bad]])
+
     def test_forward_dispatch_guards(self):
         cfg = net.ArchConfig(n_hidden=4, baseline=True).validate()
         params = net.init_params(cfg, seed=0)
