@@ -124,7 +124,6 @@ def energy(x: np.ndarray, spec: SystemSpec) -> np.ndarray | float:
 class McmcResult:
     samples: np.ndarray   # (N, n, d)
     acceptance_rate: float
-    n_steps: int
 
 
 def mcmc_sample(spec: SystemSpec, n_samples: int, step_size: float,
@@ -179,7 +178,7 @@ def mcmc_sample(spec: SystemSpec, n_samples: int, step_size: float,
                     f"no accepted moves in {window} steps; reduce step_size")
             window_accepted = 0
     return McmcResult(samples=samples[:recorded],
-                      acceptance_rate=accepted / total, n_steps=total)
+                      acceptance_rate=accepted / total)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,8 @@ _CHECKS = {
     "mcmc.burn_in": ("an integer >= 0", lambda v: int(v) >= 0),
     "mcmc.step_size": ("a number > 0", lambda v: float(v) > 0),
     "bench.d": ("2 or 3", lambda v: int(v) in (2, 3)),
+    "bench.n_list": ("a list of integers >= 2", lambda v: isinstance(v, list)
+                     and all(n == int(n) >= 2 for n in v)),
     "bench.repeats": ("an integer >= 3", lambda v: int(v) >= 3),
 }
 

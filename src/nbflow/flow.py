@@ -184,8 +184,6 @@ class FlowState:
 
     x: np.ndarray
     delta_logrho: np.ndarray
-    steps: int
-    direction: str
     div_first_stage: np.ndarray = field(default=None)  # (steps, B) monitor
     trajectory: np.ndarray | None = None
 
@@ -234,8 +232,6 @@ def rk4_integrate(rate, x0, steps: int, direction: str = "forward",
     return FlowState(
         x=x[0] if single else x,
         delta_logrho=ell[0] if single else ell,
-        steps=steps,
-        direction=direction,
         div_first_stage=div_monitor,
         trajectory=np.stack(traj) if keep_trajectory else None,
     )

@@ -5,11 +5,12 @@ time) to n velocity vectors.  Features on every edge (i,j) are computed by
 message passing on the non-backtracking line graph with dependence-driven
 pruning, so the edge feature never depends on the position of its own
 target j.  The readout combines that "conditioner" feature with a
-"transformer" input that depends on x_j alone.  Consequently the Jacobian
-of b splits into a block-hollow part (vanishing d x d diagonal blocks,
-from the conditioner) and a block-diagonal part (from the transformer),
-and the full Jacobian diagonal is recoverable with d backward passes after
-detaching the conditioner.
+"transformer" input: x_j's embedding, or with ``pairwise_diff`` the
+embedding of x_i - x_j, whose x_i gradient the detached program drops.
+Consequently the Jacobian of b splits into a block-hollow part (vanishing
+d x d diagonal blocks) and a block-diagonal part (the transformer's x_j
+gradient), and the full Jacobian diagonal is recoverable with d backward
+passes after detaching the conditioner.
 
 Feature scheme: each entity carries an invariant channel s in R^{n_h} and
 an equivariant channel v of n_h vectors in R^d.  Scalars see norms, inner
@@ -301,14 +302,11 @@ def sample_graphs(x: np.ndarray, cfg: ArchConfig) -> list[gt.DirectedGraph]:
         empty = gt.DirectedGraph(n=1, src=np.zeros(0, dtype=np.intp),
                                  dst=np.zeros(0, dtype=np.intp))
         return [empty] * cfg.n_heads
-    if cfg.baseline:
-        if cfg.knn_k is None:
-            return [gt.complete_graph(n)]
-        return [gt.build_knn_graph(x, cfg.knn_k)]
     if cfg.knn_k is not None:
         return [gt.build_knn_graph(x, cfg.knn_k)]
-    part = gt.partition_multihead(x, cfg.heads, cfg.overlap)
-    return part.heads
+    if cfg.baseline:
+        return [gt.complete_graph(n)]
+    return gt.partition_multihead(x, cfg.heads, cfg.overlap).heads
 
 
 def make_plan(xs: np.ndarray, cfg: ArchConfig,
@@ -505,7 +503,10 @@ def build_field(tape: Tape, pv: dict[str, Var], cfg: ArchConfig, x: Var,
     per-node labels; ``t_samples`` one flow time per sample.  When
     ``detach_conditioner`` is set the readout sees detached line features,
     which leaves values unchanged but makes the surviving Jacobian
-    block-diagonal.
+    block-diagonal.  With ``pairwise_diff`` each head records one pair
+    embedding, read by the conditioner's init and by the transformer; in
+    a detached build its source end is detached, so the ``h_steps`` then
+    carry no meaningful x-gradient.
     """
     N = plan.n_total
     n_loc = plan.n_per_sample
@@ -519,7 +520,11 @@ def build_field(tape: Tape, pv: dict[str, Var], cfg: ArchConfig, x: Var,
     if cfg.baseline:
         return _build_baseline(tape, pv, cfg, x, Z, plan, tf_node, local_id)
 
-    if not cfg.pairwise_diff:
+    if cfg.pairwise_diff:
+        # one pair embedding per head feeds the conditioner's init and the
+        # transformer; a detached build keeps only its x_dst gradient
+        x_src = detach(x) if detach_conditioner else x
+    else:
         ns, nv = _embed(tape, pv, cfg, x, Z, local_id)
 
     b = None
@@ -527,8 +532,8 @@ def build_field(tape: Tape, pv: dict[str, Var], cfg: ArchConfig, x: Var,
     for hp in plan.heads:
         tf_edge = _time_features(t_samples[hp.edge_sample])
         if cfg.pairwise_diff:
-            es, ev = _embed_pairs(tape, pv, cfg, x, x, Z, local_id, hp)
-            ps, pvv = _feature_map(pv, "init_phi", es, ev)
+            rs, rv = _embed_pairs(tape, pv, cfg, x_src, x, Z, local_id, hp)
+            ps, pvv = _feature_map(pv, "init_phi", rs, rv)
             M_s, M_v = gather_sum([ps, pvv], hp.init_from, hp.init_to,
                                   len(hp.src))
             hs, hv = _feature_map(pv, "init_psi", M_s, M_v)
@@ -540,10 +545,7 @@ def build_field(tape: Tape, pv: dict[str, Var], cfg: ArchConfig, x: Var,
             h_steps.append((hs, hv))
         h_steps_all.append(h_steps)
 
-        # transformer input: depends on x_j only
-        if cfg.pairwise_diff:
-            rs, rv = _embed_pairs(tape, pv, cfg, detach(x), x, Z, local_id, hp)
-        else:
+        if not cfg.pairwise_diff:  # transformer input: x_dst's embedding
             rs, rv = gather(ns, hp.dst), gather(nv, hp.dst)
         if detach_conditioner:
             hs, hv = detach(hs), detach(hv)
@@ -617,7 +619,7 @@ def batch_inputs(B: int, n: int, Z=None, t=0.0, graph_override=None):
 
 
 def evaluate_field(params, cfg: ArchConfig, x, Z=None, t=0.0,
-                   graph_override=None, detach_conditioner=False) -> np.ndarray:
+                   graph_override=None) -> np.ndarray:
     """Numeric field evaluation; accepts (n,d), a (B,n,d) batch, or a
     ParticleConfiguration."""
     if isinstance(x, ParticleConfiguration):
@@ -625,8 +627,7 @@ def evaluate_field(params, cfg: ArchConfig, x, Z=None, t=0.0,
         x, Z, t = x.x, x.Z, x.t
     x = np.asarray(x, dtype=np.float64)
     B, n, d = x.shape if x.ndim == 3 else (1, *x.shape)
-    prog = make_field_program(params, cfg, n, d, Z, t, B, graph_override,
-                              detach_conditioner)
+    prog = make_field_program(params, cfg, n, d, Z, t, B, graph_override)
     return ad.forward_eval(prog, x.reshape(-1)).reshape(x.shape)
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from nbflow import cli
+from nbflow import bench, cli
 from nbflow import flow
 from nbflow import network as net
 from nbflow import training
@@ -72,7 +72,10 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("command,key,value", [
         ("bench", "bench.repeats", 2), ("bench", "bench.k", 0),
-        ("bench", "bench.d", 4), ("generate-data", "mcmc.thin", 0),
+        ("bench", "bench.d", 4), ("bench", "bench.n_list", '["a"]'),
+        ("bench", "bench.n_list", "[1,4,8,16]"),
+        ("bench", "bench.n_list", "[4,8,16,32.5]"),
+        ("bench", "bench.n_list", 16), ("generate-data", "mcmc.thin", 0),
         ("generate-data", "mcmc.burn_in", -1),
         ("generate-data", "mcmc.step_size", 0)])
     def test_bench_and_mcmc_values_name_key(self, tmp_path, capsys, command,
@@ -129,6 +132,30 @@ class TestConfigValidation:
         # bench requires >= 4 sweep points
         assert run(["bench", "--out", tmp_path, "--set",
                     "bench.n_list=[4,8,12]", "--quiet"]) == 2
+
+
+class TestBench:
+    def test_sweep_writes_records_and_summary(self, tmp_path):
+        ns, d = [4, 8, 16, 32], 2
+        assert run(["bench", "--out", tmp_path, "--quiet",
+                    "--set", f"bench.n_list={json.dumps(ns)}",
+                    "--set", "bench.n_hidden=4"]) == 0
+        lines = (tmp_path / "bench.csv").read_text().splitlines()
+        assert lines[0] == ",".join(bench.BENCH_FIELDS)
+        rows = [dict(zip(bench.BENCH_FIELDS, line.split(",")))
+                for line in lines[1:]]
+        assert [(r["mode"], int(r["n"])) for r in rows] == \
+            [(mode, n) for n in ns for mode in ("hollow", "baseline")]
+        for r in rows:
+            n = int(r["n"])
+            assert int(r["reverse_passes"]) == (d if r["mode"] == "hollow"
+                                                else n * d)
+        summary = json.loads((tmp_path / "bench_summary.json").read_text())
+        assert summary["n_list"] == ns
+        for key in ("hollow_step_slope", "baseline_divergence_slope",
+                    "lg_edges_slope"):
+            assert len(summary[key]) == 2  # slope and its stderr
+        assert [r["n"] for r in summary["speedups"]] == ns
 
 
 class TestInspectGraph:

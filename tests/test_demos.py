@@ -1,7 +1,9 @@
 """Smoke tests: the quick demos run against the current library API.
 
-Demos 03-05 sample, benchmark or train for minutes (demo 03's brute-force
-run alone takes about two) and are left out for their run time.
+Demos 03-05 sample, benchmark or train for 15-40 s each with one BLAS
+thread (demo 03's brute-force run is most of its time), so they are left
+out of tier 1; CI runs them in a step of their own and checks demo 03's
+"samples bitwise equal: True".
 """
 
 import os

@@ -286,11 +286,15 @@ class TestJacobianStructure:
                                      detach_conditioner=True)
         J_fd = ad.full_jacobian_fd(lambda v: ad.forward_eval(prog, v),
                                    x.reshape(-1))
+        ad.forward_eval(prog, x.reshape(-1))
         ad.forward_eval(det, x.reshape(-1))
+        J = jacobian_reverse(prog, n * d)
         J_tau = jacobian_reverse(det, n * d)
         diag, off = block_masks(n, d)
         assert np.abs(J_tau[off]).max() == 0.0
         assert np.abs((J_fd - J_tau)[diag]).max() < 1e-5
+        # the undetached program differentiates the field it evaluates
+        assert np.abs(J - J_fd).max() < 1e-5
 
     def test_multihead_jacobian_structure(self):
         n, d = 6, 2
@@ -301,6 +305,8 @@ class TestJacobianStructure:
         prog = net.make_field_program(params, cfg, n, d, t=0.1)
         det = net.make_field_program(params, cfg, n, d, t=0.1,
                                      detach_conditioner=True)
+        J_fd = ad.full_jacobian_fd(lambda v: ad.forward_eval(prog, v),
+                                   x.reshape(-1))
         ad.forward_eval(prog, x.reshape(-1))
         ad.forward_eval(det, x.reshape(-1))
         J = jacobian_reverse(prog, n * d)
@@ -308,6 +314,21 @@ class TestJacobianStructure:
         diag, off = block_masks(n, d)
         assert np.abs(J_tau[off]).max() == 0.0
         assert np.abs((J - J_tau)[diag]).max() == 0.0
+        assert np.abs(J - J_fd).max() < 1e-5
+
+    @pytest.mark.parametrize("detach", [False, True])
+    @pytest.mark.parametrize("shape", [dict(knn_k=3), dict(heads=2, overlap=1)],
+                             ids=["knn", "heads"])
+    def test_pairwise_tape_embeds_each_head_once(self, shape, detach):
+        # the conditioner's init and the transformer read one pair embedding
+        cfg = net.ArchConfig(n_hidden=4, pairwise_diff=True, **shape).validate()
+        x = np.random.default_rng(21).standard_normal((6, 2))
+        fb, _ = build_with_tape(net.init_params(cfg, seed=22), cfg, x,
+                                detach_conditioner=detach)
+        kinds = fb.tape.kinds
+        assert kinds.count("rbf") == cfg.n_heads
+        # detached: x once, then each head's line features before the readout
+        assert kinds.count("detach") == (1 + 2 * cfg.n_heads if detach else 0)
 
 
 class TestConditionerIndependence:
