@@ -3,7 +3,7 @@
 A ``Tape`` records array operations eagerly (define-by-run).  Values are
 float64 throughout.  The operation set is deliberately small: affine maps,
 SiLU, elementwise arithmetic with broadcasting, gather/segment-sum over
-index lists, smoothed vector norms, per-segment softmax, and a
+``Segments`` indices, smoothed vector norms, per-segment softmax, and a
 stop-gradient ``detach`` whose value is the identity but whose gradient is
 zero.  That closure is everything the message-passing vector fields in
 this package need.  No op concatenates: an affine map takes a list of
@@ -51,7 +51,8 @@ read ``vals[i]``; the tape is spent after it.  Pool memory never
 escapes: ``forward_eval`` and ``Tape.vjp`` return copies.  The pool keeps
 the largest set of buffers one operation needed until the process exits,
 and it assumes one thread.  Arrays under 128 KiB and scatter-adds stay
-fresh arrays.
+fresh arrays: a scatter-add is a product with its ``Segments``' CSR
+matrix, built once and shared by every op and pass over that index.
 
 Pass and visit counters live on the tape so callers can assert exact
 backward-pass counts.
@@ -353,18 +354,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # operations
 # ---------------------------------------------------------------------------
 
-class _Scatter:
-    """Sums the rows ``cols[k]`` (default k) of ``a`` into segment ``idx[k]``.
+class Segments:
+    """An index ``idx`` into ``n`` rows (or segments), checked once.
 
-    It multiplies by a (segments x rows) CSR matrix of ones, built on first
-    use and kept for every later pass.  Each matrix row lists its columns in
-    k order, so each segment adds its rows onto zero in k order: bitwise the
-    sums that ``numpy.add.at`` makes of ``a[cols]`` on a zero array.
+    Called, it sums the rows ``cols[k]`` (default k) of ``a`` into segment
+    ``idx[k]`` by an (n x rows) CSR matrix of ones, built on first use and
+    shared by every later op and pass over it.  Each matrix row lists its
+    columns in k order, so each segment adds its rows onto zero in k order:
+    bitwise the sums that ``numpy.add.at`` makes of ``a[cols]``.
     """
 
     __slots__ = ("idx", "n", "cols", "_m")
 
-    def __init__(self, idx: np.ndarray, n: int, cols: np.ndarray | None = None):
+    def __init__(self, idx, n: int, cols: np.ndarray | None = None):
+        idx = np.asarray(idx, dtype=np.intp)
+        if idx.size and not 0 <= idx.min() <= idx.max() < n:
+            raise IndexError(f"index out of range for n={n}: it runs from "
+                             f"{idx.min()} to {idx.max()}")
         self.idx, self.n, self.cols, self._m = idx, n, cols, None
 
     def _matrix(self, n_rows: int):
@@ -419,27 +425,24 @@ def _take(tape: Tape, a: np.ndarray, idx: np.ndarray) -> np.ndarray:
                    out=tape.empty(idx.shape + a.shape[1:]))
 
 
-def gather(a: Var, idx: np.ndarray) -> Var:
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.size and not 0 <= idx.min() <= idx.max() < len(a.value):
-        raise IndexError(f"gather index out of range for {len(a.value)} rows")
-    return a.tape._push("gather", (a.i,), _Scatter(idx, len(a.value)),
-                        _take(a.tape, a.value, idx))
+def gather(a: Var, ix: Segments) -> Var:
+    if ix.n != len(a.value):  # _take clips, so ix must be over a's rows
+        raise ValueError(f"index over {ix.n} rows, the array has {len(a.value)}")
+    return a.tape._push("gather", (a.i,), ix, _take(a.tape, a.value, ix.idx))
 
 
-def segment_sum(a: Var, seg: np.ndarray, num_segments: int) -> Var:
-    """Sum rows of ``a`` into ``num_segments`` buckets; empty buckets are 0."""
-    sc = _Scatter(np.asarray(seg, dtype=np.intp), num_segments)
-    return a.tape._push("segsum", (a.i,), sc, sc(a.value))
+def segment_sum(a: Var, seg: Segments) -> Var:
+    """Sum rows of ``a`` into ``seg.n`` buckets; empty buckets are 0."""
+    return a.tape._push("segsum", (a.i,), seg, seg(a.value))
 
 
-def gather_sum(vs: list[Var], frm: np.ndarray, seg: np.ndarray,
-               num_segments: int) -> list[Var]:
-    """``segment_sum(gather(a, frm), seg, num_segments)``, bitwise, for each
-    a in ``vs``: M @ a and M^T @ g with M and M^T shared, no gathered rows."""
-    frm, seg = np.asarray(frm, dtype=np.intp), np.asarray(seg, dtype=np.intp)
-    m = _Scatter(seg, num_segments, frm)
-    mt = _Scatter(frm, len(vs[0].value), seg)
+def gather_sum(vs: list[Var], frm: Segments, seg: Segments) -> list[Var]:
+    """``segment_sum(gather(a, frm), seg)``, bitwise, for each a in ``vs``:
+    M @ a and M^T @ g with M and M^T shared, no gathered rows."""
+    if frm.n != len(vs[0].value):
+        raise ValueError(f"index over {frm.n} rows, the array has {len(vs[0].value)}")
+    m = Segments(seg.idx, seg.n, frm.idx)
+    mt = Segments(frm.idx, frm.n, seg.idx)
     return [a.tape._push("gsum", (a.i,), mt, m(a.value)) for a in vs]
 
 
@@ -506,18 +509,16 @@ def gauss_rbf(r: Var, centers: np.ndarray, gamma: float) -> Var:
     return r.tape._push("rbf", (r.i,), (centers, gamma, val), val)
 
 
-def segment_softmax(y: Var, seg: np.ndarray, num_segments: int) -> Var:
-    """Softmax of a (R,1) score column within each segment.
+def segment_softmax(y: Var, seg: Segments) -> Var:
+    """Softmax of a (R,1) score column within each segment of ``seg``.
 
     Segments with a single member get exactly 1.0; empty segments simply
     have no rows.
     """
-    seg = np.asarray(seg, dtype=np.intp)
     col = y.value[:, 0]
-    sc = _Scatter(seg, num_segments)
-    e = np.exp(col - sc.max(col)[seg])
-    alpha = e / sc(e)[seg]
-    return y.tape._push("segsoft", (y.i,), (sc, alpha), alpha[:, None])
+    e = np.exp(col - seg.max(col)[seg.idx])
+    alpha = e / seg(e)[seg.idx]
+    return y.tape._push("segsoft", (y.i,), (seg, alpha), alpha[:, None])
 
 
 def detach(a: Var) -> Var:
@@ -582,7 +583,7 @@ def _bw_gather(g, tape, ps, sc, want):  # also gsum's, with sc = M^T
     return (sc(g),)
 
 
-def _bw_segsum(g, tape, ps, sc, want):  # sc.idx was checked by its forward
+def _bw_segsum(g, tape, ps, sc, want):  # sc.idx was checked by Segments
     return (_take(tape, g, sc.idx),)
 
 

@@ -57,8 +57,8 @@ def measure_step(params, cfg: net.ArchConfig, x: np.ndarray, Z=None,
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
     plan = net.make_plan(x[None], cfg)
-    n_edges = len(plan.heads[0].src)
-    n_lg = 0 if cfg.baseline else len(plan.heads[0].init_from)
+    n_edges = len(plan.heads[0].src.idx)
+    n_lg = len(plan.heads[0].init_from.idx)
     div_mode = "brute" if cfg.baseline else "hollow"
 
     def one_step():
@@ -86,14 +86,20 @@ def measure_step(params, cfg: net.ArchConfig, x: np.ndarray, Z=None,
                        repeats=repeats, seed=seed)
 
 
+SWEEP_SHAPE = "at least 4 sweep points spanning at least a 4x range"
+
+
+def sweep_ok(ns) -> bool:
+    """Whether the sizes ``ns`` have the shape a slope fit needs."""
+    return len(ns) >= 4 and max(ns) >= 4 * min(ns)
+
+
 def fit_scaling(ns, ys) -> tuple[float, float]:
     """Least-squares slope of log(y) against log(n), with its stderr."""
+    if not sweep_ok(ns):
+        raise ValueError(f"need {SWEEP_SHAPE}")
     ns = np.asarray(ns, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    if ns.size < 4:
-        raise ValueError("need at least 4 sweep points")
-    if ns.max() / ns.min() < 4.0:
-        raise ValueError("sweep must span at least a 4x range")
     if np.any(ys <= 0):
         raise ValueError("metric must be positive")
     lx, ly = np.log(ns), np.log(ys)

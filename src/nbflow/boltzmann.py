@@ -8,6 +8,7 @@ are shift-invariant so the missing constant is irrelevant.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -41,26 +42,38 @@ class SystemSpec:
     mixture_weights: np.ndarray | None = None   # (m,)
 
     def validate(self):
-        if self.kind not in ("lennard_jones", "gaussian", "gaussian_mixture"):
-            raise ValueError(f"unknown system kind {self.kind!r}")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.r_min <= 0:
-            raise ValueError("r_min must be positive")
+        """Check every field; an error message starts with the field's name."""
+        kinds = ("lennard_jones", "gaussian", "gaussian_mixture")
+        if self.kind not in kinds:
+            raise ValueError(f"kind must be one of {', '.join(kinds)}, got "
+                             f"{self.kind!r}")
+        for name, what, ok in (("n", "an integer >= 1", lambda v: v >= 1),
+                               ("d", "2 or 3", lambda v: v in (2, 3))):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                    and ok(v)):
+                raise ValueError(f"{name} must be {what}, got {v!r}")
+        for name in ("beta", "r_min", "eps_lj", "tau_lj"):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and 0 < v < np.inf):
+                raise ValueError(f"{name} must be a finite number > 0, got {v!r}")
         if self.kind == "gaussian_mixture":
             means = np.atleast_2d(np.asarray(self.mixture_means, dtype=np.float64))
             if means.shape[1] != self.d:
-                raise ValueError("mixture means must have d columns")
+                raise ValueError("mixture_means must have d columns")
             m = means.shape[0]
             sig = np.asarray(self.mixture_sigmas, dtype=np.float64)
             if sig.shape != (m,) or np.any(sig <= 0):
-                raise ValueError("need one positive sigma per mixture component")
+                raise ValueError("mixture_sigmas must be one positive sigma per "
+                                 "mixture component")
             if self.mixture_weights is None:
                 w = np.full(m, 1.0 / m)
             else:
                 w = np.asarray(self.mixture_weights, dtype=np.float64)
                 if w.shape != (m,) or np.any(w <= 0):
-                    raise ValueError("mixture weights must be positive")
+                    raise ValueError("mixture_weights must be positive, one "
+                                     "per mixture component")
                 w = w / w.sum()
             self.mixture_means = means
             self.mixture_sigmas = sig

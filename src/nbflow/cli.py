@@ -57,20 +57,26 @@ _SECTION_KEYS = {
     "train": _fields(training.TrainConfig) - {"seed"},
     **{sec: set(DEFAULT_CONFIG[sec]) for sec in ("sample", "mcmc", "bench")}}
 
+
+def _integer(low: int) -> tuple:
+    return f"an integer >= {low}", lambda v: v == int(v) >= low
+
+
 # section.key: (what its value must be, the test of it)
 _CHECKS = {
     "sample.divergence_mode": (f"one of {', '.join(flow.DIVERGENCE_MODES)}",
                                lambda v: v in flow.DIVERGENCE_MODES),
-    **{key: ("an integer >= 1", lambda v: int(v) >= 1) for key in (
+    **{key: _integer(1) for key in (
         "sample.count", "sample.batch_size", "sample.integrator_steps",
         "mcmc.n_samples", "mcmc.thin", "bench.k", "bench.steps",
         "bench.n_hidden")},
-    "mcmc.burn_in": ("an integer >= 0", lambda v: int(v) >= 0),
+    "mcmc.burn_in": _integer(0),
     "mcmc.step_size": ("a number > 0", lambda v: float(v) > 0),
-    "bench.d": ("2 or 3", lambda v: int(v) in (2, 3)),
-    "bench.n_list": ("a list of integers >= 2", lambda v: isinstance(v, list)
-                     and all(n == int(n) >= 2 for n in v)),
-    "bench.repeats": ("an integer >= 3", lambda v: int(v) >= 3),
+    "bench.d": ("2 or 3", lambda v: v in (2, 3)),
+    "bench.n_list": (f"a list of integers >= 2, {bench.SWEEP_SHAPE}",
+                     lambda v: isinstance(v, list)
+                     and all(n == int(n) >= 2 for n in v) and bench.sweep_ok(v)),
+    "bench.repeats": _integer(3),
 }
 
 
@@ -96,7 +102,7 @@ def validate_config(cfg: dict) -> dict:
         sec, key = path.split(".")
         try:
             ok = test(merged[sec][key])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             ok = False
         if not ok:
             raise ConfigError(f"{path} must be {what}")
@@ -130,10 +136,10 @@ def _system_spec(cfg: dict) -> boltzmann.SystemSpec:
     for key in ("mixture_means", "mixture_sigmas", "mixture_weights"):
         if s.get(key) is not None:
             s[key] = np.asarray(s[key], dtype=np.float64)
-    try:
+    try:  # every key is known here, and validate names the bad one
         return boltzmann.SystemSpec(**s).validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid system config: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"invalid system config: system.{exc}") from exc
 
 
 def _arch_config(cfg: dict) -> net.ArchConfig:

@@ -185,7 +185,6 @@ class FlowState:
     x: np.ndarray
     delta_logrho: np.ndarray
     div_first_stage: np.ndarray = field(default=None)  # (steps, B) monitor
-    trajectory: np.ndarray | None = None
 
     @property
     def max_divergence_jump(self) -> float:
@@ -194,8 +193,7 @@ class FlowState:
         return float(np.max(np.abs(np.diff(self.div_first_stage, axis=0))))
 
 
-def rk4_integrate(rate, x0, steps: int, direction: str = "forward",
-                  keep_trajectory: bool = False) -> FlowState:
+def rk4_integrate(rate, x0, steps: int, direction: str = "forward") -> FlowState:
     """Classic RK4 on the state (x, log-density change).
 
     ``rate(x, t)`` returns the velocity and the divergence at (x, t); the
@@ -215,7 +213,6 @@ def rk4_integrate(rate, x0, steps: int, direction: str = "forward",
     h = 1.0 / steps if direction == "forward" else -1.0 / steps
     t = 0.0 if direction == "forward" else 1.0
     div_monitor = np.empty((steps, B))
-    traj = [x.copy()] if keep_trajectory else None
     for step in range(steps):
         b1, d1 = rate(x, t)
         b2, d2 = rate(x + 0.5 * h * b1, t + 0.5 * h)
@@ -227,13 +224,10 @@ def rk4_integrate(rate, x0, steps: int, direction: str = "forward",
         t += h
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(ell))):
             raise FloatingPointError(f"non-finite state at step {step}")
-        if keep_trajectory:
-            traj.append(x.copy())
     return FlowState(
         x=x[0] if single else x,
         delta_logrho=ell[0] if single else ell,
         div_first_stage=div_monitor,
-        trajectory=np.stack(traj) if keep_trajectory else None,
     )
 
 

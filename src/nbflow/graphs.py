@@ -184,7 +184,6 @@ class BacktrackArray:
     """
 
     deps: sp.csr_array
-    step: int = 0
 
     @property
     def table(self) -> np.ndarray:
@@ -205,7 +204,7 @@ def init_backtracking(lg: LineGraph, pd: bool) -> BacktrackArray:
         rows, cols = np.r_[rows, lg.t_to], np.r_[cols, lg.t_tail]
     deps = sp.coo_array((np.ones(rows.size, dtype=bool), (rows, cols)),
                         shape=(lg.n_nodes, g.n)).tocsr()
-    return BacktrackArray(deps=deps, step=0)
+    return BacktrackArray(deps=deps)
 
 
 def prune_and_update(lg: LineGraph, bt: BacktrackArray) -> tuple[int, BacktrackArray]:
@@ -226,7 +225,6 @@ def prune_and_update(lg: LineGraph, bt: BacktrackArray) -> tuple[int, BacktrackA
     A = sp.csr_array((np.ones(tf.size, dtype=bool), (tt, tf)),
                      shape=(lg.n_nodes, lg.n_nodes))
     bt.deps = bt.deps + A @ bt.deps
-    bt.step += 1
     return removed, bt
 
 

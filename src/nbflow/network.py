@@ -39,10 +39,10 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import (Tape, Var, affine, channel_norm, detach, dot_last,
-                       gated_sum, gather, gather_sum, gauss_rbf, outer_rows,
-                       scale_channels, segment_softmax, segment_sum, silu,
-                       slice_cols)
+from .autodiff import (Segments, Tape, Var, affine, channel_norm, detach,
+                       dot_last, gated_sum, gather, gather_sum, gauss_rbf,
+                       outer_rows, scale_channels, segment_softmax,
+                       segment_sum, silu, slice_cols)
 from . import graphs as gt
 
 N_TIME_FEATURES = 2  # sin/cos of 2*pi*t appended to message/update/readout inputs
@@ -279,12 +279,12 @@ def load_checkpoint(prefix) -> tuple[dict[str, np.ndarray], ArchConfig, dict]:
 
 @dataclass
 class HeadPlan:
-    src: np.ndarray
-    dst: np.ndarray
+    src: Segments  # over the B*n nodes, as dst; the rest are over the edges
+    dst: Segments
     edge_sample: np.ndarray
-    step_pairs: list[tuple[np.ndarray, np.ndarray]]  # active (t_from, t_to) per round
-    init_from: np.ndarray  # unpruned triples, for the pairwise-diff init
-    init_to: np.ndarray
+    step_pairs: list[tuple[Segments, Segments]]  # active (t_from, t_to) per round
+    init_from: Segments  # unpruned triples, for the pairwise-diff init
+    init_to: Segments
 
 
 @dataclass
@@ -353,18 +353,20 @@ def make_plan(xs: np.ndarray, cfg: ArchConfig,
         union = gt.DirectedGraph(
             n=B * n, src=np.concatenate([g.src for g in head_graphs]) + off,
             dst=np.concatenate([g.dst for g in head_graphs]) + off)
+        E = union.n_edges
         step_pairs = []
-        init_from = init_to = np.zeros(0, dtype=np.intp)
+        init_from = init_to = Segments(np.zeros(0), E)
         if not cfg.baseline:
             lg = gt.build_line_graph(union)
             bt = gt.init_backtracking(lg, cfg.pairwise_diff)
-            init_from, init_to = lg.t_from, lg.t_to
+            init_from, init_to = Segments(lg.t_from, E), Segments(lg.t_to, E)
             for _ in range(cfg.steps):
                 if cfg.prune:
                     gt.prune_and_update(lg, bt)
-                step_pairs.append(lg.active_pairs())
+                step_pairs.append(tuple(Segments(p, E)
+                                        for p in lg.active_pairs()))
         heads.append(HeadPlan(
-            src=union.src, dst=union.dst,
+            src=Segments(union.src, B * n), dst=Segments(union.dst, B * n),
             edge_sample=np.repeat(np.arange(B), counts),
             step_pairs=step_pairs, init_from=init_from, init_to=init_to))
     return ForwardPlan(n_total=B * n, n_per_sample=n,
@@ -437,7 +439,7 @@ def _message_rows(tape, pv, cfg, hs, hv, t_from, t_to, tf_rows):
         m_v = scale_channels(fv, a)
     else:  # softmax over each receiver's in-neighborhood
         y = _mlp(pv, "att", pair)
-        alpha = segment_softmax(y, t_to, hs.shape[0])
+        alpha = segment_softmax(y, t_to)
         z = _mlp(pv, "attval", [s_ki, tfe])
         val, gv = _blocks(z, nh)
         m_s = val * alpha
@@ -453,12 +455,11 @@ def _update(tape, pv, cfg, hs, hv, M_s, M_v, tf_rows):
 
 def _round(tape, pv, cfg, hs, hv, t_from, t_to, tf_rows):
     """One message-passing round: messages along the (t_from -> t_to)
-    pairs, summed into the ``hs.shape[0]`` receivers, then the update.
-    ``tf_rows`` holds one time-feature row per receiver."""
+    pairs, summed into the receivers, then the update.  ``tf_rows`` holds
+    one time-feature row per receiver."""
     m_s, m_v = _message_rows(tape, pv, cfg, hs, hv, t_from, t_to,
-                             tf_rows[t_to])
-    M_s = segment_sum(m_s, t_to, hs.shape[0])
-    M_v = segment_sum(m_v, t_to, hs.shape[0])
+                             tf_rows[t_to.idx])
+    M_s, M_v = segment_sum(m_s, t_to), segment_sum(m_v, t_to)
     return _update(tape, pv, cfg, hs, hv, M_s, M_v, tf_rows)
 
 
@@ -476,7 +477,8 @@ def message_step(params: dict, cfg: ArchConfig, h_s: np.ndarray,
     pv = param_vars(tape, params)
     hs, hv = tape.leaf(h_s), tape.leaf(np.swapaxes(h_v, 1, 2).copy())
     tf = _time_features(np.full(h_s.shape[0], float(t)))
-    hs2, hv2 = _round(tape, pv, cfg, hs, hv, *lg.active_pairs(), tf)
+    t_from, t_to = (Segments(p, len(h_s)) for p in lg.active_pairs())
+    hs2, hv2 = _round(tape, pv, cfg, hs, hv, t_from, t_to, tf)
     return hs2.value, np.swapaxes(hv2.value, 1, 2)
 
 
@@ -508,14 +510,13 @@ def build_field(tape: Tape, pv: dict[str, Var], cfg: ArchConfig, x: Var,
     a detached build its source end is detached, so the ``h_steps`` then
     carry no meaningful x-gradient.
     """
-    N = plan.n_total
     n_loc = plan.n_per_sample
     t_samples = np.asarray(t_samples, dtype=np.float64)
     tf_node = _time_features(t_samples[plan.node_sample])
     if cfg.unique_nodes and cfg.unique_nodes != n_loc:
         raise ValueError(f"unique_nodes is {cfg.unique_nodes}, but the field "
                          f"has {n_loc} particles")
-    local_id = np.arange(N) % n_loc
+    local_id = np.arange(plan.n_total) % n_loc
 
     if cfg.baseline:
         return _build_baseline(tape, pv, cfg, x, Z, plan, tf_node, local_id)
@@ -534,8 +535,7 @@ def build_field(tape: Tape, pv: dict[str, Var], cfg: ArchConfig, x: Var,
         if cfg.pairwise_diff:
             rs, rv = _embed_pairs(tape, pv, cfg, x_src, x, Z, local_id, hp)
             ps, pvv = _feature_map(pv, "init_phi", rs, rv)
-            M_s, M_v = gather_sum([ps, pvv], hp.init_from, hp.init_to,
-                                  len(hp.src))
+            M_s, M_v = gather_sum([ps, pvv], hp.init_from, hp.init_to)
             hs, hv = _feature_map(pv, "init_psi", M_s, M_v)
         else:
             hs, hv = gather(ns, hp.src), gather(nv, hp.src)
@@ -549,7 +549,7 @@ def build_field(tape: Tape, pv: dict[str, Var], cfg: ArchConfig, x: Var,
             rs, rv = gather(ns, hp.dst), gather(nv, hp.dst)
         if detach_conditioner:
             hs, hv = detach(hs), detach(hv)
-        b_head = _readout(tape, pv, cfg, hs, hv, rs, rv, tf_edge, hp.dst, N)
+        b_head = _readout(tape, pv, cfg, hs, hv, rs, rv, tf_edge, hp.dst)
         b = b_head if b is None else b + b_head
 
     return FieldBuild(tape=tape, b=b, h_steps=h_steps_all)
@@ -558,19 +558,17 @@ def build_field(tape: Tape, pv: dict[str, Var], cfg: ArchConfig, x: Var,
 def _embed_pairs(tape, pv, cfg, xs, x, Z, local_id, hp):
     """Embedding of the displacements xs_src - x_dst along the head's edges."""
     return _embed(tape, pv, cfg, gather(xs, hp.src) - gather(x, hp.dst),
-                  Z[hp.src], local_id[hp.src])
+                  Z[hp.src.idx], local_id[hp.src.idx])
 
 
 def _build_baseline(tape, pv, cfg, x, Z, plan, tf_node, local_id):
     """Standard message passing on the base graph; no hollow structure."""
-    N = plan.n_total
     hp = plan.heads[0]
     if cfg.pairwise_diff:
         es, ev = _embed_pairs(tape, pv, cfg, x, x, Z, local_id, hp)
         ps, pvv = _feature_map(pv, "init_phi", es, ev)
-        hs, hv = _feature_map(pv, "init_psi",
-                              segment_sum(ps, hp.dst, N),
-                              segment_sum(pvv, hp.dst, N))
+        hs, hv = _feature_map(pv, "init_psi", segment_sum(ps, hp.dst),
+                              segment_sum(pvv, hp.dst))
     else:
         hs, hv = _embed(tape, pv, cfg, x, Z, local_id)
     n_s, n_v = hs, hv
@@ -580,12 +578,12 @@ def _build_baseline(tape, pv, cfg, x, Z, plan, tf_node, local_id):
         h_steps.append((hs, hv))
     # readout sums per-edge contributions, so isolated nodes get zero
     b = _readout(tape, pv, cfg, gather(hs, hp.dst), gather(hv, hp.dst),
-                 gather(n_s, hp.src), gather(n_v, hp.src), tf_node[hp.dst],
-                 hp.dst, N)
+                 gather(n_s, hp.src), gather(n_v, hp.src), tf_node[hp.dst.idx],
+                 hp.dst)
     return FieldBuild(tape=tape, b=b, h_steps=[h_steps])
 
 
-def _readout(tape, pv, cfg, hs, hv, rs, rv, tf_rows, dst, N):
+def _readout(tape, pv, cfg, hs, hv, rs, rv, tf_rows, dst):
     """Per-edge readout summed into the receivers ``dst``.
 
     (hs, hv) are the edge's message features, (rs, rv) the receiver-side
@@ -594,7 +592,7 @@ def _readout(tape, pv, cfg, hs, hv, rs, rv, tf_rows, dst, N):
     z = _mlp(pv, "read", [hs, rs, dot_last(hv, rv), tape.const(tf_rows)])
     gh, gn = _blocks(z, cfg.n_hidden)
     contrib = gated_sum(hv, gh) + gated_sum(rv, gn)
-    return segment_sum(contrib, dst, N)
+    return segment_sum(contrib, dst)
 
 
 # ---------------------------------------------------------------------------

@@ -411,12 +411,12 @@ class TestOpGradients:
         self._check(b, (3, 2, 3))
 
     def test_gather_segsum(self):
-        idx = np.array([0, 2, 1, 2])
-        seg = np.array([1, 0, 0, 1])
+        idx = ad.Segments([0, 2, 1, 2], 3)
+        seg = ad.Segments([1, 0, 0, 1], 2)
 
         def b(t, x):
             rows = ad.gather(x, idx)
-            return ad.segment_sum(rows, seg, 2)
+            return ad.segment_sum(rows, seg)
         self._check(b, (3, 4))
 
     def test_slice_cols(self):
@@ -430,10 +430,10 @@ class TestOpGradients:
         self._check(b, (4, 3))
 
     def test_segment_softmax(self):
-        seg = np.array([0, 0, 1, 1, 1])
+        seg = ad.Segments([0, 0, 1, 1, 1], 2)
 
         def b(t, x):
-            return ad.segment_softmax(x, seg, 2)
+            return ad.segment_softmax(x, seg)
         self._check(b, (5, 1))
 
     def test_sum_all(self):
@@ -662,11 +662,11 @@ class TestKernels:
         ref = np.zeros((n_seg,) + row_shape)
         np.add.at(ref, idx, rows)
         tape = ad.Tape()
-        summed = ad.segment_sum(tape.leaf(rows), idx, n_seg).value
+        summed = ad.segment_sum(tape.leaf(rows), ad.Segments(idx, n_seg)).value
         assert summed.shape == ref.shape and summed.tobytes() == ref.tobytes()
         # gather's backward scatters the cotangent rows the same way
         src = tape.leaf(rng.standard_normal((n_seg,) + row_shape))
-        gathered = ad.gather(src, idx)
+        gathered = ad.gather(src, ad.Segments(idx, n_seg))
         (g,) = tape.vjp(gathered, rows, [src])
         assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
 
@@ -746,10 +746,30 @@ class TestKernels:
     def test_gather_rejects_out_of_range_rows(self):
         tape = ad.Tape()
         a = tape.leaf(np.ones((3, 2)))
-        for idx in ([0, 3], [-1, 0]):
-            with pytest.raises(IndexError, match="3 rows"):
-                ad.gather(a, idx)
-        assert ad.gather(a, []).shape == (0, 2)
+        for idx in ([0, 3], [-1, 0]):  # Segments checks the index once
+            with pytest.raises(IndexError, match="n=3"):
+                ad.gather(a, ad.Segments(idx, 3))
+        assert ad.gather(a, ad.Segments([], 3)).shape == (0, 2)
+
+    def test_gather_rejects_an_index_over_other_rows(self):
+        # _take clips, so an index over 4 rows must not read a 3-row array
+        tape = ad.Tape()
+        a = tape.leaf(np.ones((3, 2)))
+        for n in (2, 4):
+            with pytest.raises(ValueError, match=f"over {n} rows, the array has 3"):
+                ad.gather(a, ad.Segments([0, 1], n))
+            with pytest.raises(ValueError, match=f"over {n} rows"):
+                ad.gather_sum([a], ad.Segments([0, 1], n), ad.Segments([1, 0], 3))
+
+    @pytest.mark.parametrize("op", ["segsum", "segsoft"])
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_segment_ids_out_of_range_name_the_count(self, op, bad):
+        tape = ad.Tape()
+        y = tape.leaf(np.ones((4, 1)))
+        fn = ad.segment_sum if op == "segsum" else ad.segment_softmax
+        with pytest.raises(IndexError, match=f"n=3: it runs from {min(bad, 0)} "
+                                             f"to {max(bad, 2)}"):
+            fn(y, ad.Segments([0, 2, bad, 1], 3))
 
     @given(source=st.sampled_from(["gaussian", "lattice", "coincident",
                                    "random"]),
@@ -766,14 +786,14 @@ class TestKernels:
             xs = np.stack([make_cloud(source, n, d, seed + s) for s in range(B)])
             override = None
         hp = net.make_plan(xs, cfg.validate(), override).heads[0]
-        E = len(hp.src)
+        E = hp.init_from.n
         rng = np.random.default_rng(seed)
         tape = ad.Tape()
         leaves = [tape.leaf(awkward(rng, (E, C))),
                   tape.leaf(awkward(rng, (E, d, C)))]
-        fused = ad.gather_sum(leaves, hp.init_from, hp.init_to, E)
+        fused = ad.gather_sum(leaves, hp.init_from, hp.init_to)
         for a, f in zip(leaves, fused):
-            ref = ad.segment_sum(ad.gather(a, hp.init_from), hp.init_to, E)
+            ref = ad.segment_sum(ad.gather(a, hp.init_from), hp.init_to)
             assert same_bits(f.value, ref.value)
             g = awkward(rng, ref.shape)
             (got,) = tape.vjp(f, g, [a])
@@ -796,14 +816,15 @@ class TestKernels:
             m = np.full(n_seg, -np.inf)
             np.maximum.at(m, seg, y[:, 0])
             # the reduceat maxima: the same values, a zero's sign aside
-            assert np.array_equal(ad._Scatter(seg, n_seg).max(y[:, 0]), m)
+            assert np.array_equal(ad.Segments(seg, n_seg).max(y[:, 0]), m)
             e = np.exp(y[:, 0] - m[seg])
             tot = np.zeros(n_seg)
             np.add.at(tot, seg, e)
             alpha = e / tot[seg]
             for arena in (None, NanPool()):
                 v, g, (gy,) = run_op(
-                    lambda a: ad.segment_softmax(a, seg, n_seg), y, arena=arena)
+                    lambda a: ad.segment_softmax(a, ad.Segments(seg, n_seg)),
+                    y, arena=arena)
                 ga = g[:, 0] * alpha  # g has -0.0 entries
                 dots = np.zeros(n_seg)
                 np.add.at(dots, seg, ga)

@@ -75,7 +75,9 @@ class TestConfigValidation:
         ("bench", "bench.d", 4), ("bench", "bench.n_list", '["a"]'),
         ("bench", "bench.n_list", "[1,4,8,16]"),
         ("bench", "bench.n_list", "[4,8,16,32.5]"),
-        ("bench", "bench.n_list", 16), ("generate-data", "mcmc.thin", 0),
+        ("bench", "bench.n_list", 16), ("bench", "bench.n_list", "[4,8,12]"),
+        ("bench", "bench.n_list", "[4,8,12,15]"),
+        ("generate-data", "mcmc.thin", 0),
         ("generate-data", "mcmc.burn_in", -1),
         ("generate-data", "mcmc.step_size", 0)])
     def test_bench_and_mcmc_values_name_key(self, tmp_path, capsys, command,
@@ -128,10 +130,37 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "train.batch_size" in err and "512" in err
 
+    @pytest.mark.parametrize("key", [
+        "sample.count", "sample.batch_size", "sample.integrator_steps",
+        "mcmc.n_samples", "mcmc.thin", "mcmc.burn_in", "bench.k",
+        "bench.steps", "bench.n_hidden", "bench.d", "bench.repeats"])
+    def test_integer_keys_reject_non_integers(self, tmp_path, capsys, key):
+        # int(v) would truncate: sample.count=2.5 sampled 2 configurations
+        assert run(["inspect-graph", "--out", tmp_path, "--quiet",
+                    "--set", f"{key}=3.5"]) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("n", 0), ("n", 2.5), ("n", "true"), ("d", 4), ("d", 1), ("d", 2.5),
+        ("beta", "NaN"), ("beta", "nan"), ("beta", 0), ("r_min", -1),
+        ("eps_lj", "Infinity"), ("tau_lj", 0), ("kind", "argon")])
+    def test_system_config_error_names_key(self, tmp_path, capsys, key,
+                                           value):
+        assert run(["generate-data", "--out", tmp_path, "--quiet",
+                    "--set", "mcmc.n_samples=4", "--set", "mcmc.burn_in=0",
+                    "--set", f"system.{key}={value}"]) == 1
+        assert f"system.{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "data.csv").exists()
+
     def test_runtime_failure_exit_code(self, tmp_path):
-        # bench requires >= 4 sweep points
-        assert run(["bench", "--out", tmp_path, "--set",
-                    "bench.n_list=[4,8,12]", "--quiet"]) == 2
+        # a checkpoint whose blob lost its last float fails at run time
+        cfg = net.ArchConfig(n_hidden=4, steps=1, knn_k=2).validate()
+        net.save_checkpoint(tmp_path / "checkpoint_best",
+                            net.init_params(cfg), cfg)
+        blob = tmp_path / "checkpoint_best.bin"
+        blob.write_bytes(blob.read_bytes()[:-8])
+        assert run(["sample", "--out", tmp_path, "--quiet",
+                    "--set", "system.n=3", "--set", "sample.count=2"]) == 2
 
 
 class TestBench:

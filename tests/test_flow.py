@@ -80,13 +80,6 @@ class TestRk4:
         with pytest.raises(FloatingPointError, match="step"):
             flow.rk4_integrate(blowup, np.ones((1, 2, 2)), steps=10)
 
-    def test_trajectory_capture(self):
-        x0 = np.ones((2, 2, 2))
-        state = flow.rk4_integrate(contraction_rate, x0, steps=5,
-                                   keep_trajectory=True)
-        assert state.trajectory.shape == (6, 2, 2, 2)
-        np.testing.assert_array_equal(state.trajectory[0], x0)
-
 
 class TestGaussianPrior:
     def test_full_log_density_matches_scipy(self):
@@ -325,7 +318,7 @@ class TestModelFieldArena:
         x = np.random.default_rng(4).standard_normal((3, 9, 3))
         _, xs = integrate_both(params, cfg, None, mode, x, steps=3)
         # edges E and line-graph triples T per stage: both grow and shrink
-        sizes = [(len(hp.src), len(hp.init_from)) for hp in
+        sizes = [(hp.src.idx.size, hp.init_from.idx.size) for hp in
                  (net.make_plan(xa, cfg).heads[0] for xa in xs)]
         for k in (0, 1):
             steps = np.diff([size[k] for size in sizes])

@@ -195,13 +195,6 @@ class TestPruneAndUpdate:
                 assert np.all(bt.table >= prev)
                 prev = bt.table.copy()
 
-    def test_step_counter(self):
-        lg = gt.build_line_graph(gt.complete_graph(3))
-        bt = gt.init_backtracking(lg, pd=False)
-        assert bt.step == 0
-        _, bt = gt.prune_and_update(lg, bt)
-        assert bt.step == 1
-
 
 class TestConnectivityProfile:
     def test_complete_n4(self):
@@ -373,17 +366,18 @@ def pruned_dependence_oracle(g, pd, rounds):
 
 def head_arrays(hp):
     """A head plan's index arrays by name, one pair per round."""
-    out = {name: getattr(hp, name) for name in
-           ("src", "dst", "edge_sample", "init_from", "init_to")}
+    out = {name: getattr(hp, name).idx for name in
+           ("src", "dst", "init_from", "init_to")}
+    out["edge_sample"] = hp.edge_sample
     for t, (tf, tt) in enumerate(hp.step_pairs):
-        out[f"from{t}"], out[f"to{t}"] = tf, tt
+        out[f"from{t}"], out[f"to{t}"] = tf.idx, tt.idx
     return out
 
 
 def concatenated_heads(parts, n):
     """Single-sample head plans joined with node and edge offsets."""
     nodes = [s * n for s in range(len(parts))]
-    edges = np.cumsum([0] + [len(p.src) for p in parts])
+    edges = np.cumsum([0] + [p.src.idx.size for p in parts])
     shift = {"src": nodes, "dst": nodes, "edge_sample": range(len(parts))}
     arrays = [head_arrays(p) for p in parts]
     return {name: np.concatenate([a[name] + off for a, off in

@@ -187,6 +187,62 @@ class TestForwardBasics:
             net.baseline_forward(net.init_params(cfg2, seed=0), cfg2, x)
 
 
+def plan_segments(plan):
+    """Every Segments a plan holds, one entry per index array."""
+    for hp in plan.heads:
+        yield from (hp.src, hp.dst, hp.init_from, hp.init_to)
+        for pair in hp.step_pairs:
+            yield from pair
+
+
+class TestPlanIndices:
+    @pytest.mark.parametrize("shape", [
+        dict(knn_k=3, pairwise_diff=True), dict(knn_k=3, attention="softmax"),
+        dict(baseline=True), dict(knn_k=3, baseline=True, pairwise_diff=True)])
+    def test_ops_over_one_index_share_its_segments(self, shape):
+        cfg = net.ArchConfig(n_hidden=4, steps=2, **shape).validate()
+        x = np.random.default_rng(0).standard_normal((2, 6, 3))
+        plan = net.make_plan(x, cfg)
+        tape = ad.Tape()
+        xv = tape.leaf(x.reshape(12, 3))
+        net.build_field(tape, net.param_vars(tape, net.init_params(cfg)), cfg,
+                        xv, np.zeros(12, int), np.full(2, 0.5), plan)
+        held = [aux[0] if kind == "segsoft" else aux
+                for kind, aux in zip(tape.kinds, tape.aux)
+                if kind in ("gather", "segsum", "segsoft")]
+        assert ("segsoft" in tape.kinds) == ("attention" in shape)
+        # each op holds its plan index itself, so ops over one index share it
+        owned = {id(ix) for ix in plan_segments(plan)}
+        assert held and all(id(ix) in owned for ix in held)
+        assert len({id(ix) for ix in held}) < len(held)
+
+    def test_one_csr_matrix_per_index(self, monkeypatch):
+        # a hollow stage sums by the pairwise init's M, each round's t_to
+        # and dst (the readout, then gather(x, dst)'s rule): 4 matrices; a
+        # CFM step, which wants no x-gradient, also by M^T and each round's
+        # t_from: 7
+        from nbflow import flow, training
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return csr_matrix(*args, **kwargs)
+        csr_matrix = ad.csr_matrix
+        monkeypatch.setattr(ad, "csr_matrix", counting)
+        cfg = net.ArchConfig(n_hidden=4, steps=2, knn_k=4,
+                             pairwise_diff=True).validate()
+        params = net.init_params(cfg, seed=0)
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((4, 13, 3))
+        flow.field_and_divergence(params, cfg, x, t=0.5, mode="hollow")
+        assert len(built) == 4
+        built.clear()
+        batch = training.make_cfm_batch(rng.standard_normal(x.shape), x,
+                                        rng.uniform(size=4), 0.01, rng)
+        training.cfm_loss_and_grad(params, cfg, batch)
+        assert len(built) == 7
+
+
 class TestEquivariance:
     @pytest.mark.parametrize("pd", [False, True])
     @pytest.mark.parametrize("d", [2, 3])
@@ -404,9 +460,9 @@ class TestHollowInvariantProperties:
         plan = net.make_plan(x, cfg)
         for hp, h_steps in zip(plan.heads, fb.h_steps):
             for feature in (var for pair in h_steps for var in pair):
-                for j in np.unique(hp.dst):
+                for j in np.unique(hp.dst.idx):
                     u = np.zeros(feature.shape)
-                    rows = hp.dst == j
+                    rows = hp.dst.idx == j
                     u[rows] = rng.standard_normal(u[rows].shape)
                     (g,) = fb.tape.vjp(feature, u, [xv])
                     assert not np.any(g[j]), f"a feature of an edge into {j}"
@@ -550,7 +606,7 @@ class TestAttention:
     def test_softmax_singleton_weight_is_exactly_one(self):
         y = np.array([[2.5]])
         tape = ad.Tape()
-        a = ad.segment_softmax(tape.leaf(y), np.array([0]), 1)
+        a = ad.segment_softmax(tape.leaf(y), ad.Segments([0], 1))
         assert a.value[0, 0] == 1.0
 
     def test_softmax_normalization(self):
@@ -558,7 +614,7 @@ class TestAttention:
         seg = np.repeat(np.arange(5), [3, 1, 4, 2, 5])
         y = rng.standard_normal((seg.size, 1)) * 3
         tape = ad.Tape()
-        a = ad.segment_softmax(tape.leaf(y), seg, 5).value[:, 0]
+        a = ad.segment_softmax(tape.leaf(y), ad.Segments(seg, 5)).value[:, 0]
         sums = np.zeros(5)
         np.add.at(sums, seg, a)
         np.testing.assert_allclose(sums, np.ones(5), atol=1e-12)
