@@ -16,6 +16,7 @@ import numpy as np
 
 from . import flow
 from . import network as net
+from .config import SWEEP_SHAPE, check, sweep_ok
 
 
 @dataclass
@@ -52,8 +53,7 @@ def measure_step(params, cfg: net.ArchConfig, x: np.ndarray, Z=None,
     Runs one warm-up first; if the total is too fast to time reliably the
     repeat count is increased automatically.
     """
-    if repeats < 3:
-        raise ValueError("repeats must be >= 3")
+    check("bench", {"repeats": repeats})
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
     plan = net.make_plan(x[None], cfg)
@@ -84,14 +84,6 @@ def measure_step(params, cfg: net.ArchConfig, x: np.ndarray, Z=None,
                        rt=med_f + med_b, rt_forward=med_f,
                        rt_divergence=med_b, reverse_passes=passes,
                        repeats=repeats, seed=seed)
-
-
-SWEEP_SHAPE = "at least 4 sweep points spanning at least a 4x range"
-
-
-def sweep_ok(ns) -> bool:
-    """Whether the sizes ``ns`` have the shape a slope fit needs."""
-    return len(ns) >= 4 and max(ns) >= 4 * min(ns)
 
 
 def fit_scaling(ns, ys) -> tuple[float, float]:

@@ -8,13 +8,13 @@ are shift-invariant so the missing constant is irrelevant.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
+from .config import check
 from .flow import LOG_2PI
 
 
@@ -42,39 +42,23 @@ class SystemSpec:
     mixture_weights: np.ndarray | None = None   # (m,)
 
     def validate(self):
-        """Check every field; an error message starts with the field's name."""
-        kinds = ("lennard_jones", "gaussian", "gaussian_mixture")
-        if self.kind not in kinds:
-            raise ValueError(f"kind must be one of {', '.join(kinds)}, got "
-                             f"{self.kind!r}")
-        for name, what, ok in (("n", "an integer >= 1", lambda v: v >= 1),
-                               ("d", "2 or 3", lambda v: v in (2, 3))):
-            v = getattr(self, name)
-            if not (isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                    and ok(v)):
-                raise ValueError(f"{name} must be {what}, got {v!r}")
-        for name in ("beta", "r_min", "eps_lj", "tau_lj"):
-            v = getattr(self, name)
-            if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    and 0 < v < np.inf):
-                raise ValueError(f"{name} must be a finite number > 0, got {v!r}")
+        """Check every field; an error message starts with the field's name.
+        Idempotent: the energy, not this, normalizes the mixture weights."""
+        check("system", vars(self))
         if self.kind == "gaussian_mixture":
             means = np.atleast_2d(np.asarray(self.mixture_means, dtype=np.float64))
-            if means.shape[1] != self.d:
-                raise ValueError("mixture_means must have d columns")
+            if means.ndim != 2 or means.shape[1] != self.d:
+                raise ValueError("mixture_means must be an (m, d) array")
             m = means.shape[0]
             sig = np.asarray(self.mixture_sigmas, dtype=np.float64)
             if sig.shape != (m,) or np.any(sig <= 0):
                 raise ValueError("mixture_sigmas must be one positive sigma per "
                                  "mixture component")
-            if self.mixture_weights is None:
-                w = np.full(m, 1.0 / m)
-            else:
-                w = np.asarray(self.mixture_weights, dtype=np.float64)
-                if w.shape != (m,) or np.any(w <= 0):
-                    raise ValueError("mixture_weights must be positive, one "
-                                     "per mixture component")
-                w = w / w.sum()
+            w = np.ones(m) if self.mixture_weights is None else \
+                np.asarray(self.mixture_weights, dtype=np.float64)
+            if w.shape != (m,) or np.any(w <= 0):
+                raise ValueError("mixture_weights must be positive, one "
+                                 "per mixture component")
             self.mixture_means = means
             self.mixture_sigmas = sig
             self.mixture_weights = w
@@ -109,7 +93,7 @@ def _mixture_logpdf_points(pts: np.ndarray, spec: SystemSpec) -> np.ndarray:
     w = spec.mixture_weights
     d = pts.shape[-1]
     dev = pts[..., None, :] - mu  # (..., m, d)
-    comp = (np.log(w) - 0.5 * np.sum(dev * dev, axis=-1) / sig**2
+    comp = (np.log(w / w.sum()) - 0.5 * np.sum(dev * dev, axis=-1) / sig**2
             - d * np.log(sig) - 0.5 * d * LOG_2PI)
     return logsumexp(comp, axis=-1)
 
@@ -149,10 +133,8 @@ def mcmc_sample(spec: SystemSpec, n_samples: int, step_size: float,
     a hopeless step size.
     """
     spec.validate()
-    if step_size <= 0:
-        raise ValueError("step_size must be positive")
-    if thin < 1 or burn_in < 0 or n_samples < 1:
-        raise ValueError("bad chain parameters")
+    check("mcmc", {"n_samples": n_samples, "step_size": step_size,
+                   "burn_in": burn_in, "thin": thin})
     rng = np.random.default_rng(seed)
     if x0 is None:
         x = rng.standard_normal((spec.n, spec.d))

@@ -3,8 +3,10 @@ evaluation, benchmarking, and graph inspection.
 
 Configuration is one JSON file with sections ``system``, ``model``,
 ``train``, ``sample``, ``mcmc``, ``bench`` plus top-level ``seed`` and
-``out_dir``; unknown keys anywhere are rejected with exit status 1 and a
-message naming the key.  ``--set a.b=c`` applies dotted-path overrides.
+``out_dir``.  ``--set a.b=c`` applies dotted-path overrides, read as JSON.
+Before any work, every key is checked against its kind in
+``config.TABLE`` (integers as JSON integers, flags as JSON booleans); an
+unknown key or bad value exits 1 with a message naming ``section.key``.
 Every subcommand writes a ``manifest.json`` recording the configuration
 hash, seed, library versions, and wallclock, which is enough to re-run
 the command.  Bulk numeric output is CSV with %.17g floats so a fixed
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import hashlib
 import json
 import sys
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, bench, boltzmann, flow, network as net, training
+from . import __version__, bench, boltzmann, config, flow, network as net, training
 
 
 class ConfigError(ValueError):
@@ -46,66 +47,25 @@ DEFAULT_CONFIG = {
 }
 
 
-def _fields(cls) -> set:
-    return {f.name for f in dataclasses.fields(cls)}
-
-
-# allowed keys per section: its config class's fields, else its default
-# keys; not train.seed, because the top-level seed is the one seed
-_SECTION_KEYS = {
-    "system": _fields(boltzmann.SystemSpec), "model": _fields(net.ArchConfig),
-    "train": _fields(training.TrainConfig) - {"seed"},
-    **{sec: set(DEFAULT_CONFIG[sec]) for sec in ("sample", "mcmc", "bench")}}
-
-
-def _integer(low: int) -> tuple:
-    return f"an integer >= {low}", lambda v: v == int(v) >= low
-
-
-# section.key: (what its value must be, the test of it)
-_CHECKS = {
-    "sample.divergence_mode": (f"one of {', '.join(flow.DIVERGENCE_MODES)}",
-                               lambda v: v in flow.DIVERGENCE_MODES),
-    **{key: _integer(1) for key in (
-        "sample.count", "sample.batch_size", "sample.integrator_steps",
-        "mcmc.n_samples", "mcmc.thin", "bench.k", "bench.steps",
-        "bench.n_hidden")},
-    "mcmc.burn_in": _integer(0),
-    "mcmc.step_size": ("a number > 0", lambda v: float(v) > 0),
-    "bench.d": ("2 or 3", lambda v: v in (2, 3)),
-    "bench.n_list": (f"a list of integers >= 2, {bench.SWEEP_SHAPE}",
-                     lambda v: isinstance(v, list)
-                     and all(n == int(n) >= 2 for n in v) and bench.sweep_ok(v)),
-    "bench.repeats": _integer(3),
-}
-
-
-def _check_keys(section: dict, allowed: set, where: str):
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {where}.{key}" if where else
-                              f"unknown key {key}")
+def _checked(section: str, make):
+    """Call ``make``; a ValueError from it, whose message starts with a key,
+    becomes a ConfigError that names ``section.key``."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}" if section else str(exc)) from exc
 
 
 def validate_config(cfg: dict) -> dict:
-    _check_keys(cfg, set(DEFAULT_CONFIG), "")
+    """The defaults updated by ``cfg``, each key checked against its kind."""
+    _checked("", lambda: config.check("", cfg))
     merged = copy.deepcopy(DEFAULT_CONFIG)
-    for sec, allowed in _SECTION_KEYS.items():
-        part = cfg.get(sec, {})
-        if not isinstance(part, dict):
-            raise ConfigError(f"section {sec} must be an object")
-        _check_keys(part, allowed, sec)
-        merged[sec].update(part)
-    merged["seed"] = int(cfg.get("seed", merged["seed"]))
-    merged["out_dir"] = cfg.get("out_dir", merged["out_dir"])
-    for path, (what, test) in _CHECKS.items():
-        sec, key = path.split(".")
-        try:
-            ok = test(merged[sec][key])
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
-            raise ConfigError(f"{path} must be {what}")
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            _checked(key, lambda: config.check(key, value))
+            merged[key].update(value)
+        else:
+            merged[key] = value
     return merged
 
 
@@ -132,25 +92,16 @@ def apply_overrides(cfg: dict, sets: list[str]) -> dict:
 
 
 def _system_spec(cfg: dict) -> boltzmann.SystemSpec:
-    s = dict(cfg["system"])
-    for key in ("mixture_means", "mixture_sigmas", "mixture_weights"):
-        if s.get(key) is not None:
-            s[key] = np.asarray(s[key], dtype=np.float64)
-    try:  # every key is known here, and validate names the bad one
-        return boltzmann.SystemSpec(**s).validate()
-    except ValueError as exc:
-        raise ConfigError(f"invalid system config: system.{exc}") from exc
+    return _checked("system", lambda: boltzmann.SystemSpec(
+        **cfg["system"]).validate())
 
 
 def _arch_config(cfg: dict) -> net.ArchConfig:
-    try:  # every key is known here, and validate names the bad one
-        arch = net.ArchConfig.from_dict(cfg["model"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid model config: model.{exc}") from exc
-    n = _system_spec(cfg).n
+    arch = _checked("model", lambda: net.ArchConfig.from_dict(cfg["model"]))
+    n = cfg["system"]["n"]
     if arch.knn_k is not None and arch.knn_k > n - 1:
-        raise ConfigError(f"invalid model config: model.knn_k={arch.knn_k} "
-                          f"exceeds system.n - 1 = {n - 1}")
+        raise ConfigError(f"model.knn_k={arch.knn_k} exceeds system.n - 1 = "
+                          f"{n - 1}")
     return arch
 
 
@@ -197,11 +148,7 @@ def _fmt_row(values) -> str:
 
 def cmd_generate_data(cfg, out_dir, quiet):
     spec = _system_spec(cfg)
-    m = cfg["mcmc"]
-    result = boltzmann.mcmc_sample(spec, int(m["n_samples"]),
-                                   float(m["step_size"]), seed=cfg["seed"],
-                                   burn_in=int(m["burn_in"]),
-                                   thin=int(m["thin"]))
+    result = boltzmann.mcmc_sample(spec, seed=cfg["seed"], **cfg["mcmc"])
     path = out_dir / "data.csv"
     training.save_data_csv(path, result.samples)
     if not quiet:
@@ -214,11 +161,7 @@ def cmd_generate_data(cfg, out_dir, quiet):
 
 def cmd_train(cfg, out_dir, quiet, data_path=None):
     arch = _arch_config(cfg)
-    try:
-        tc = training.TrainConfig(**cfg["train"], seed=cfg["seed"])
-        tc.validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid train config: {exc}") from exc
+    tc = training.TrainConfig(**cfg["train"], seed=cfg["seed"])
     data_path = Path(data_path) if data_path else out_dir / "data.csv"
     if not data_path.exists():
         raise ConfigError(f"training data not found: {data_path}")
@@ -229,13 +172,10 @@ def cmd_train(cfg, out_dir, quiet, data_path=None):
             raise ConfigError(f"system.{key}={want} does not match "
                               f"{data_path}, whose configurations have "
                               f"{key}={got}")
-    try:
-        n_train = len(x) - tc.n_validation(len(x))
-    except ValueError as exc:
-        raise ConfigError(f"invalid train config: train.{exc}") from exc
+    n_train = len(x) - _checked("train", lambda: tc.n_validation(len(x)))
     if min(tc.batch_size, n_train) > training.MAX_OT_BATCH:
         raise ConfigError(
-            f"invalid train config: train.batch_size={tc.batch_size} with "
+            f"train.batch_size={tc.batch_size} with "
             f"{n_train} training configurations exceeds the exact OT "
             f"coupling's limit of {training.MAX_OT_BATCH}")
     result = training.train(tc, arch, x, out_dir, Z=Z, quiet=quiet)
@@ -257,9 +197,9 @@ def cmd_sample(cfg, out_dir, quiet, checkpoint=None):
     prior = flow.GaussianPrior(n=spec.n, d=spec.d,
                                mean_free=arch.pairwise_diff)
     run = flow.sample_with_likelihood(
-        params, arch, prior, int(sc["count"]), mode=sc["divergence_mode"],
-        steps=int(sc["integrator_steps"]), seed=cfg["seed"],
-        Z=manifest.get("extra", {}).get("labels"), batch_size=int(sc["batch_size"]))
+        params, arch, prior, sc["count"], mode=sc["divergence_mode"],
+        steps=sc["integrator_steps"], seed=cfg["seed"],
+        Z=manifest.get("extra", {}).get("labels"), batch_size=sc["batch_size"])
     path = out_dir / "samples.csv"
     nd = spec.n * spec.d
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -337,15 +277,15 @@ def cmd_bench(cfg, out_dir, quiet):
     rng = np.random.default_rng(cfg["seed"])
     rows, hollow_recs, base_recs = [], [], []
     for n in b["n_list"]:
-        x = rng.standard_normal((int(n), int(b["d"])))
-        hcfg = net.ArchConfig(n_hidden=int(b["n_hidden"]), steps=int(b["steps"]),
-                              knn_k=min(int(b["k"]), int(n) - 1)).validate()
-        bcfg = net.ArchConfig(n_hidden=int(b["n_hidden"]), steps=int(b["steps"]),
+        x = rng.standard_normal((n, b["d"]))
+        hcfg = net.ArchConfig(n_hidden=b["n_hidden"], steps=b["steps"],
+                              knn_k=min(b["k"], n - 1)).validate()
+        bcfg = net.ArchConfig(n_hidden=b["n_hidden"], steps=b["steps"],
                               baseline=True).validate()
         hrec = bench.measure_step(net.init_params(hcfg, seed=1), hcfg, x,
-                                  repeats=int(b["repeats"]), seed=cfg["seed"])
+                                  repeats=b["repeats"], seed=cfg["seed"])
         brec = bench.measure_step(net.init_params(bcfg, seed=1), bcfg, x,
-                                  repeats=int(b["repeats"]), seed=cfg["seed"])
+                                  repeats=b["repeats"], seed=cfg["seed"])
         hollow_recs.append(hrec)
         base_recs.append(brec)
         rows += [hrec.as_row(), brec.as_row()]
@@ -437,12 +377,14 @@ def main(argv=None) -> int:
         if args.config is not None:
             with open(args.config, encoding="utf-8") as fh:
                 raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ConfigError(f"{args.config} must hold a JSON object")
         raw = apply_overrides(raw, args.set)
-        cfg = validate_config(raw)
         if args.seed is not None:
-            cfg["seed"] = args.seed
+            raw["seed"] = args.seed
         if args.out is not None:
-            cfg["out_dir"] = str(args.out)
+            raw["out_dir"] = str(args.out)
+        cfg = validate_config(raw)
         out_dir = Path(cfg["out_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, json.JSONDecodeError, OSError) as exc:

@@ -35,10 +35,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import network as net
+from .config import check
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-
-DIVERGENCE_MODES = ("hollow", "brute", "fd")
 
 
 @dataclass
@@ -80,8 +79,7 @@ class GaussianPrior:
 # ---------------------------------------------------------------------------
 
 def _check_mode(cfg: net.ArchConfig, mode: str):
-    if mode not in DIVERGENCE_MODES:
-        raise ValueError(f"unknown divergence mode {mode!r}")
+    check("sample", {"divergence_mode": mode})
     if mode == "hollow" and cfg.baseline:
         raise ValueError("hollow divergence requires the hollow field, "
                          "not a baseline")

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,33 +43,9 @@ from .autodiff import (Segments, Tape, Var, affine, channel_norm, detach,
                        outer_rows, scale_channels, segment_softmax,
                        segment_sum, silu, slice_cols)
 from . import graphs as gt
+from .config import check
 
 N_TIME_FEATURES = 2  # sin/cos of 2*pi*t appended to message/update/readout inputs
-
-
-@dataclass
-class ParticleConfiguration:
-    """The flow state: positions, integer type labels, and a flow time."""
-
-    x: np.ndarray
-    Z: np.ndarray | None = None
-    t: float = 0.0
-
-    def validate(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        if self.x.ndim != 2 or self.x.shape[0] < 1:
-            raise ValueError("positions must be an (n, d) array with n >= 1")
-        if self.x.shape[1] not in (2, 3):
-            raise ValueError("d must be 2 or 3")
-        if not np.all(np.isfinite(self.x)):
-            raise ValueError("positions must be finite")
-        if self.Z is not None:
-            self.Z = np.asarray(self.Z, dtype=int)
-            if self.Z.shape != (self.x.shape[0],):
-                raise ValueError("need one label per particle")
-        if not np.isfinite(self.t):
-            raise ValueError("flow time must be finite")
-        return self
 
 
 @dataclass
@@ -103,21 +78,7 @@ class ArchConfig:
 
     def validate(self):
         """Check every field; an error message starts with the field's name."""
-        for name, low in (("n_hidden", 1), ("n_rbf", 1), ("n_types", 1),
-                          ("steps", 1), ("knn_k", 1), ("heads", 1),
-                          ("unique_nodes", 0), ("overlap", 0)):
-            v = getattr(self, name)
-            ok = isinstance(v, numbers.Integral) and not isinstance(v, bool) \
-                and v >= low
-            if not ok and not (v is None and name in ("knn_k", "heads")):
-                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
-        c = self.rbf_cutoff
-        if not (isinstance(c, numbers.Real) and not isinstance(c, bool)
-                and 0 < c < np.inf):
-            raise ValueError(f"rbf_cutoff must be a finite number > 0, got {c!r}")
-        if self.attention not in (None, "product", "softmax"):
-            raise ValueError(f"attention must be None, 'product' or "
-                             f"'softmax', got {self.attention!r}")
+        check("model", vars(self))
         if self.baseline and self.heads is not None:
             raise ValueError("heads must be unset on a baseline")
         if self.baseline and self.attention is not None:
@@ -148,10 +109,7 @@ class ArchConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArchConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown architecture key: {sorted(unknown)[0]}")
+        check("model", d)
         return cls(**d).validate()
 
 
@@ -618,11 +576,7 @@ def batch_inputs(B: int, n: int, Z=None, t=0.0, graph_override=None):
 
 def evaluate_field(params, cfg: ArchConfig, x, Z=None, t=0.0,
                    graph_override=None) -> np.ndarray:
-    """Numeric field evaluation; accepts (n,d), a (B,n,d) batch, or a
-    ParticleConfiguration."""
-    if isinstance(x, ParticleConfiguration):
-        x.validate()
-        x, Z, t = x.x, x.Z, x.t
+    """Numeric field evaluation of an (n, d) array or a (B, n, d) batch."""
     x = np.asarray(x, dtype=np.float64)
     B, n, d = x.shape if x.ndim == 3 else (1, *x.shape)
     prog = make_field_program(params, cfg, n, d, Z, t, B, graph_override)

@@ -19,6 +19,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import autodiff as ad
 from . import network as net
+from .config import check
 from .flow import GaussianPrior
 
 MAX_OT_BATCH = 512
@@ -37,16 +38,9 @@ class TrainConfig:
     sigma: float = 0.01        # interpolant noise scale
 
     def validate(self):
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be positive")
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be positive")
-        if self.lr_initial <= 0 or self.lr_final <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if not (0.0 <= self.validation_fraction < 1.0):
-            raise ValueError("validation_fraction must be in [0, 1)")
+        """Check every field; an error message starts with the field's name."""
+        check("train", {k: v for k, v in vars(self).items() if k != "seed"})
+        check("", {"seed": self.seed})
         return self
 
     def n_validation(self, M: int) -> int:

@@ -28,6 +28,12 @@ class TestConfigValidation:
         assert run(["inspect-graph", "--config", cfg, "--out", tmp_path]) == 1
         assert "model.knn_q" in capsys.readouterr().err
 
+    def test_config_that_is_not_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("[1, 2]")
+        assert run(["inspect-graph", "--config", cfg, "--out", tmp_path]) == 1
+        assert "JSON object" in capsys.readouterr().err
+
     def test_override_syntax_error(self, tmp_path, capsys):
         assert run(["inspect-graph", "--out", tmp_path, "--set", "noequals"]) == 1
 
@@ -161,6 +167,70 @@ class TestConfigValidation:
         blob.write_bytes(blob.read_bytes()[:-8])
         assert run(["sample", "--out", tmp_path, "--quiet",
                     "--set", "system.n=3", "--set", "sample.count=2"]) == 2
+
+
+# key: (the command that reads it, an out-of-range value); integer keys
+# also get a non-integer
+_INTEGER_KEYS = {
+    "system.n": ("generate-data", 0), "system.d": ("generate-data", 4),
+    "model.n_hidden": ("inspect-graph", 0), "model.n_rbf": ("inspect-graph", 0),
+    "model.n_types": ("inspect-graph", 0), "model.steps": ("inspect-graph", 0),
+    "model.unique_nodes": ("inspect-graph", -1),
+    "model.knn_k": ("inspect-graph", 0), "model.heads": ("inspect-graph", 0),
+    "model.overlap": ("inspect-graph", -1), "model.seed": ("inspect-graph", -1),
+    "train.batch_size": ("train", 0), "train.ramp_epochs": ("train", -3),
+    "train.epochs": ("train", 0), "train.checkpoint_every": ("train", 0),
+    "sample.count": ("sample", 0), "sample.integrator_steps": ("sample", 0),
+    "sample.batch_size": ("sample", 0), "mcmc.n_samples": ("generate-data", 0),
+    "mcmc.burn_in": ("generate-data", -1), "mcmc.thin": ("generate-data", 0),
+    "bench.k": ("bench", 0), "bench.d": ("bench", 1), "bench.steps": ("bench", 0),
+    "bench.n_hidden": ("bench", 0), "bench.repeats": ("bench", 2),
+    "seed": ("inspect-graph", -1)}
+_NUMBER_KEYS = {
+    "system.beta": ("generate-data", 0), "system.r_min": ("generate-data", -1),
+    "system.eps_lj": ("generate-data", 0), "system.tau_lj": ("generate-data", 0),
+    "model.rbf_cutoff": ("inspect-graph", 0), "train.lr_initial": ("train", 0),
+    "train.lr_final": ("train", -1e-4), "train.validation_fraction": ("train", 1),
+    "train.sigma": ("train", -0.5), "mcmc.step_size": ("generate-data", 0)}
+_MIXTURE = ["system.kind=gaussian_mixture", "system.mixture_means=[[0,0],[0,0]]",
+            "system.mixture_sigmas=[0.4,1.2]"]
+_BAD_VALUES = [
+    (command, key, value)
+    for keys, extra in ((_INTEGER_KEYS, ["2.5"]), (_NUMBER_KEYS, []))
+    for key, (command, low) in keys.items()
+    for value in extra + ["NaN", "Infinity", "-Infinity", "true", json.dumps(low)]
+] + [("inspect-graph", f"model.{key}", value)
+     for key in ("pairwise_diff", "baseline", "prune")
+     for value in ('"False"', "0", "1")] + [
+    ("sample", "sample.divergence_mode", '"exact"'),
+    ("generate-data", "system.mixture_sigmas", "[NaN,1.2]"),
+    ("generate-data", "system.mixture_means", "[[0,NaN],[0,0]]"),
+    ("generate-data", "system.mixture_means", "[[0,0],[0]]"),
+    ("generate-data", "system.mixture_weights", "[Infinity,1]"),
+    ("inspect-graph", "seed", '"a"'), ("inspect-graph", "out_dir", "5")]
+
+
+class TestEveryKeyIsChecked:
+    @pytest.mark.parametrize("command,key,value", _BAD_VALUES)
+    def test_bad_value_exits_1_naming_key(self, tmp_path, monkeypatch, capsys,
+                                          command, key, value):
+        # the data and checkpoint the commands read are here, so a value the
+        # checks let through would reach the command's work
+        monkeypatch.chdir(tmp_path)
+        cfg = net.ArchConfig(n_hidden=4, steps=1, knn_k=2).validate()
+        net.save_checkpoint(tmp_path / "checkpoint_best",
+                            net.init_params(cfg), cfg)
+        training.save_data_csv(tmp_path / "data.csv", np.random.default_rng(
+            0).standard_normal((8, 3, 2)))
+        sets = ["system.n=3", "model.n_hidden=4", "model.knn_k=2",
+                "train.epochs=1", "mcmc.n_samples=4", "mcmc.burn_in=0",
+                "sample.count=2", "bench.n_hidden=4"]
+        if key.startswith("system.mixture"):
+            sets += _MIXTURE
+        args = [command, "--quiet"] + [a for kv in sets + [f"{key}={value}"]
+                                        for a in ("--set", kv)]
+        assert run(args if key == "out_dir" else args + ["--out", "."]) == 1
+        assert f"{key} must be" in capsys.readouterr().err
 
 
 class TestBench:

@@ -789,26 +789,6 @@ class TestCheckpoints:
             net.load_checkpoint(tmp_path / "ck")
 
 
-class TestParticleConfiguration:
-    def test_forward_accepts_configuration_object(self):
-        cfg = net.ArchConfig(n_hidden=5, steps=1, knn_k=2).validate()
-        params = net.init_params(cfg, seed=0)
-        x = np.random.default_rng(0).standard_normal((4, 2))
-        pc = net.ParticleConfiguration(x=x, Z=np.zeros(4, dtype=int), t=0.4)
-        np.testing.assert_array_equal(
-            net.hollow_forward(params, cfg, pc),
-            net.hollow_forward(params, cfg, x, Z=np.zeros(4, int), t=0.4))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            net.ParticleConfiguration(x=np.zeros((3, 4))).validate()
-        with pytest.raises(ValueError):
-            net.ParticleConfiguration(x=np.full((2, 2), np.nan)).validate()
-        with pytest.raises(ValueError):
-            net.ParticleConfiguration(x=np.zeros((2, 2)),
-                                      Z=np.zeros(3)).validate()
-
-
 class TestConfigValidation:
     def test_exactly_one_graph_mode(self):
         with pytest.raises(ValueError):
@@ -830,7 +810,9 @@ class TestConfigValidation:
         ("n_hidden", 0), ("n_rbf", 0), ("n_types", 0), ("steps", 0),
         ("steps", 2.0), ("n_hidden", True), ("knn_k", 0), ("knn_k", 2.5),
         ("unique_nodes", -1), ("rbf_cutoff", 0.0), ("rbf_cutoff", -1.0),
-        ("rbf_cutoff", np.inf), ("rbf_cutoff", np.nan), ("rbf_cutoff", "5")])
+        ("rbf_cutoff", np.inf), ("rbf_cutoff", np.nan), ("rbf_cutoff", "5"),
+        ("pairwise_diff", "False"), ("prune", 1), ("baseline", 0),
+        ("seed", -1)])
     def test_bad_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             net.ArchConfig(**{"knn_k": 2, field: value}).validate()
