@@ -41,7 +41,13 @@ process-wide pool ``POOL`` (an ``Arena``), on which sampling
 their tapes; a forward op's temporary goes back at once (``Tape.drop``).
 Every new tape on the pool rewinds it, which takes back all
 its buffers and invalidates the tapes recorded on it before (``vjp`` on
-one raises).  A reverse pass counts the cotangents on each array (a view
+one raises).  ``Tape.release_since`` gives back, while the tape records,
+the buffers of every node recorded since a mark but the vars it keeps,
+and drops those nodes' values: a detached field build
+(``network.build_field``) releases each conditioner stage, which no probe
+pass reads, once the next stage's features exist, so later stages reuse
+its buffers; a pass that reaches a released value raises.
+A reverse pass counts the cotangents on each array (a view
 holds its base): it adds in place into an array that one cotangent alone
 holds, and gives a pool buffer (a cotangent or an unreturned rule
 temporary) back once nothing holds it.  A tape's last pass
@@ -68,7 +74,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.special import expit
 
 NORM_EPS = 1e-12  # smoothing inside sqrt so unit vectors are defined at 0
 _TERMINAL = ("leaf", "const", "detach")  # kinds that pass no cotangent on
@@ -191,6 +196,7 @@ class Tape:
         if out.tape is not self:
             raise ValueError("output var belongs to a different tape")
         self.check_live()
+        self._check_kept((out.i, *(v.i for v in wrt)))
         arena = self.arena
         g = np.array(cotangent, dtype=np.float64)  # a copy: never pool memory
         if g.shape != self.vals[out.i].shape:
@@ -225,6 +231,7 @@ class Tape:
                         grads[i] = None
                         dead.append(gi)
                     ps = parents[i]
+                    self._check_kept((i, *ps))
                     contribs = _BACKWARD[kind](gi, self, ps, auxs[i], wants[i])
                     for p, gp in zip(ps, contribs):
                         if gp is None:
@@ -275,9 +282,25 @@ class Tape:
 
     def _release(self, i: int):
         """Free node i's value and aux: no node below i reads them."""
-        for b in self.owned[i]:
+        for b in self.owned[i] or ():  # () once released
             self.arena.give(b)
         self.vals[i] = self.aux[i] = self.owned[i] = None
+
+    def release_since(self, mark: int, keep: tuple["Var", ...]):
+        """Release every node recorded since ``mark`` (a ``len(tape)``) but
+        the ``keep`` vars and the nodes whose buffers they view."""
+        kept = {v.i for v in keep}
+        held = {id(_base(v.value)) for v in keep}
+        for i in range(mark, len(self.kinds)):
+            if i not in kept and not any(id(b) in held for b in self.owned[i]):
+                self._release(i)
+
+    def _check_kept(self, nodes):
+        """Raise if a pass would read the value of a released node."""
+        for j in nodes:
+            if self.vals[j] is None:
+                raise RuntimeError(f"node {j} ({self.kinds[j]}) was released; "
+                                   "its value is gone")
 
     def _mark(self, out: int, targets: frozenset):
         """Which nodes up to ``out`` reach a target, and per-node ``want``."""
@@ -451,8 +474,11 @@ def slice_cols(a: Var, j0: int, j1: int) -> Var:
 
 
 def silu(a: Var) -> Var:
-    x, s = a.value, a.tape.empty(a.shape)
-    expit(x, out=s)  # the sigmoid, kept for the rule
+    x, s = a.value, a.tape.ufunc(np.negative, a.value)
+    with np.errstate(over="ignore"):  # exp(-x) = inf gives the sigmoid 0
+        np.exp(s, out=s)
+    s += 1.0
+    np.reciprocal(s, out=s)  # the sigmoid 1 / (1 + exp(-x)), kept for the rule
     return a.tape._push("silu", (a.i,), s, a.tape.ufunc(np.multiply, x, s))
 
 

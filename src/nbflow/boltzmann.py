@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist
 from scipy.special import logsumexp
 
 from .config import check
@@ -66,7 +67,7 @@ class SystemSpec:
 
 
 def lj_energy(x: np.ndarray, spec: SystemSpec) -> np.ndarray | float:
-    """eps/(2 tau) * sum over ordered pairs of ((r_min/r)^12 - 2 (r_min/r)^6).
+    """eps/tau * sum over unordered pairs of ((r_min/r)^12 - 2 (r_min/r)^6).
 
     Coincident particles make the potential singular; those configurations
     raise so callers can flag and exclude them.
@@ -74,15 +75,14 @@ def lj_energy(x: np.ndarray, spec: SystemSpec) -> np.ndarray | float:
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 2
     xs = x[None] if single else x
-    diff = xs[:, :, None, :] - xs[:, None, :, :]
-    r2 = np.sum(diff * diff, axis=-1)
     n = xs.shape[1]
-    iu = ~np.eye(n, dtype=bool)
-    r2 = r2[:, iu]
+    r2 = np.empty((len(xs), n * (n - 1) // 2))
+    for row, conf in zip(r2, xs):  # one pdist per configuration
+        row[:] = pdist(conf, "sqeuclidean")
     if np.any(r2 == 0.0):
         raise FloatingPointError("singular configuration: coincident particles")
     s6 = (spec.r_min**2 / r2) ** 3
-    e = spec.eps_lj / (2.0 * spec.tau_lj) * np.sum(s6 * s6 - 2.0 * s6, axis=1)
+    e = spec.eps_lj / spec.tau_lj * np.sum(s6 * s6 - 2.0 * s6, axis=1)
     return float(e[0]) if single else e
 
 

@@ -369,6 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _remove_empty(made: list[Path]):
+    """Remove the directories made for ``out_dir`` (innermost first) that a
+    failed command left empty."""
+    for d in made:
+        if any(d.iterdir()):
+            return
+        d.rmdir()
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
@@ -386,6 +395,7 @@ def main(argv=None) -> int:
             raw["out_dir"] = str(args.out)
         cfg = validate_config(raw)
         out_dir = Path(cfg["out_dir"])
+        made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
         out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -407,9 +417,11 @@ def main(argv=None) -> int:
             extra = cmd_inspect_graph(cfg, out_dir, args.quiet)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        _remove_empty(made)
         return 1
     except Exception as exc:  # noqa: BLE001 - boundary of the process
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _remove_empty(made)
         return 2
     _write_manifest(out_dir, args.command, cfg, time.perf_counter() - t0,
                     {"result": extra})

@@ -173,17 +173,31 @@ def build_line_graph(g: DirectedGraph) -> LineGraph:
                      t_tail=g.src[t_from].copy(), t_head=g.dst[t_to].copy())
 
 
-@dataclass
 class BacktrackArray:
     """Which base-graph nodes each line-graph feature depends on.
 
     Sparse boolean matrix ``deps`` of shape (number of line nodes, n),
     read densely through ``table``.  Entries only ever flip from 0 to 1,
     and the column of an edge's own target stays 0 at every step: that is
-    the invariant pruning enforces.
+    the invariant pruning enforces.  A pruning round's propagation is
+    made when ``deps`` is next read, so a plan's last round, whose sets
+    nothing reads, costs none.
     """
 
-    deps: sp.csr_array
+    def __init__(self, deps: sp.csr_array):
+        self._deps = deps
+        self._senders = None  # active (t_from, t_to) of a round to propagate
+
+    @property
+    def deps(self) -> sp.csr_array:
+        if self._senders is not None:  # see prune_and_update
+            tf, tt = self._senders
+            m = self._deps.shape[0]
+            A = sp.csr_array((np.ones(tf.size, dtype=bool), (tt, tf)),
+                             shape=(m, m))
+            self._deps = self._deps + A @ self._deps
+            self._senders = None
+        return self._deps
 
     @property
     def table(self) -> np.ndarray:
@@ -199,12 +213,16 @@ def init_backtracking(lg: LineGraph, pd: bool) -> BacktrackArray:
     all in-neighbors *and* i are set (the difference depends on both ends).
     """
     g = lg.graph
-    rows, cols = np.arange(g.n_edges), g.src
-    if pd:
-        rows, cols = np.r_[rows, lg.t_to], np.r_[cols, lg.t_tail]
-    deps = sp.coo_array((np.ones(rows.size, dtype=bool), (rows, cols)),
-                        shape=(lg.n_nodes, g.n)).tocsr()
-    return BacktrackArray(deps=deps)
+    E = g.n_edges
+    if pd:  # entries as sorted keys row * n + column, duplicates dropped
+        key = np.sort(np.r_[np.arange(E) * g.n + g.src,
+                            lg.t_to * g.n + lg.t_tail])
+        key = key[np.diff(key, prepend=-1) != 0]
+        indptr, cols = np.searchsorted(key, np.arange(E + 1) * g.n), key % g.n
+    else:
+        indptr, cols = np.arange(E + 1), g.src
+    return BacktrackArray(sp.csr_array(
+        (np.ones(cols.size, dtype=bool), cols, indptr), shape=(E, g.n)))
 
 
 def prune_and_update(lg: LineGraph, bt: BacktrackArray) -> tuple[int, BacktrackArray]:
@@ -214,17 +232,16 @@ def prune_and_update(lg: LineGraph, bt: BacktrackArray) -> tuple[int, BacktrackA
     already depends on x_c, because passing that message would make the
     receiver (b,c) depend on its own target.  Each receiver then gains the
     sets of its remaining senders: deps + A deps, with A the active
-    (receiver, sender) incidence.  Returns the number of triples removed.
+    (receiver, sender) incidence, made when ``bt.deps`` is next read.
+    Returns the number of triples removed.
     """
+    deps = bt.deps  # the sets after the previous round
     removed = 0
     if lg.n_triples:
-        close = lg.active & bt.deps[lg.t_from, lg.t_head]
+        close = lg.active & deps[lg.t_from, lg.t_head]
         removed = int(np.count_nonzero(close))
         lg.active &= ~close
-    tf, tt = lg.active_pairs()
-    A = sp.csr_array((np.ones(tf.size, dtype=bool), (tt, tf)),
-                     shape=(lg.n_nodes, lg.n_nodes))
-    bt.deps = bt.deps + A @ bt.deps
+    bt._senders = lg.active_pairs()
     return removed, bt
 
 

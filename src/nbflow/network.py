@@ -467,6 +467,12 @@ def build_field(tape: Tape, pv: dict[str, Var], cfg: ArchConfig, x: Var,
     embedding, read by the conditioner's init and by the transformer; in
     a detached build its source end is detached, so the ``h_steps`` then
     carry no meaningful x-gradient.
+
+    No probe pass reads the conditioner of a detached build, so the build
+    releases each of its stages (``Tape.release_since``) once the next
+    stage's features exist: it keeps the embeddings, the readout and
+    every round's ``h_steps`` pair, but no value computed between them,
+    and a pass that would read one raises.
     """
     n_loc = plan.n_per_sample
     t_samples = np.asarray(t_samples, dtype=np.float64)
@@ -492,21 +498,27 @@ def build_field(tape: Tape, pv: dict[str, Var], cfg: ArchConfig, x: Var,
         tf_edge = _time_features(t_samples[hp.edge_sample])
         if cfg.pairwise_diff:
             rs, rv = _embed_pairs(tape, pv, cfg, x_src, x, Z, local_id, hp)
+            mark = len(tape)  # the conditioner's init starts here
             ps, pvv = _feature_map(pv, "init_phi", rs, rv)
             M_s, M_v = gather_sum([ps, pvv], hp.init_from, hp.init_to)
             hs, hv = _feature_map(pv, "init_psi", M_s, M_v)
         else:
+            mark = len(tape)
             hs, hv = gather(ns, hp.src), gather(nv, hp.src)
         h_steps = [(hs, hv)]
         for t_from, t_to in hp.step_pairs:
+            if detach_conditioner:  # no probe pass reads the stage before
+                tape.release_since(mark, (hs, hv))
+            mark = len(tape)
             hs, hv = _round(tape, pv, cfg, hs, hv, t_from, t_to, tf_edge)
             h_steps.append((hs, hv))
         h_steps_all.append(h_steps)
 
+        if detach_conditioner:
+            tape.release_since(mark, (hs, hv))
+            hs, hv = detach(hs), detach(hv)
         if not cfg.pairwise_diff:  # transformer input: x_dst's embedding
             rs, rv = gather(ns, hp.dst), gather(nv, hp.dst)
-        if detach_conditioner:
-            hs, hv = detach(hs), detach(hv)
         b_head = _readout(tape, pv, cfg, hs, hv, rs, rv, tf_edge, hp.dst)
         b = b_head if b is None else b + b_head
 

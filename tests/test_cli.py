@@ -158,6 +158,19 @@ class TestConfigValidation:
         assert f"system.{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "data.csv").exists()
 
+    def test_command_config_error_leaves_no_out_dir(self, tmp_path, capsys):
+        # only the command sees three sigmas against two means
+        out = tmp_path / "runs" / "bad4"
+        args = ["generate-data", "--out", out, "--quiet",
+                "--set", "system.kind=gaussian_mixture",
+                "--set", "system.mixture_means=[[0,0],[0,0]]",
+                "--set", "system.mixture_sigmas=[0.4,1.2,3]"]
+        assert run(args) == 1
+        assert "system.mixture_sigmas" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+        out.mkdir(parents=True)  # a directory that was there stays
+        assert run(args) == 1 and out.is_dir()
+
     def test_runtime_failure_exit_code(self, tmp_path):
         # a checkpoint whose blob lost its last float fails at run time
         cfg = net.ArchConfig(n_hidden=4, steps=1, knn_k=2).validate()

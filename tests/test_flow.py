@@ -206,17 +206,42 @@ def random_field(kind, n, d, B, graph, attention, pairwise_diff, seed):
 
 class TestFieldAndDivergenceProperties:
     """Hollow divergence against the dense brute-force oracle (n*d unit
-    cotangents), both through ``field_and_divergence``."""
+    cotangents), both through ``field_and_divergence``.  Hollow mode runs
+    on a NanPool at every depth, so a read of a conditioner buffer that
+    its build released would show up as NaN."""
 
-    @given(**FIELD_CASES)
-    def test_hollow_equals_brute(self, **case):
+    @given(**FIELD_CASES, steps=st.integers(1, 3))
+    def test_hollow_equals_brute(self, steps, **case):
         cfg, params, x, Z, t, _ = random_field(**case)
+        cfg = dataclasses.replace(cfg, steps=steps).validate()
         n, d = x.shape[1:]
-        vh, dh, sh = flow.field_and_divergence(params, cfg, x, Z, t, "hollow")
+        with pool_swapped(NanPool()):
+            vh, dh, sh = flow.field_and_divergence(params, cfg, x, Z, t,
+                                                   "hollow")
         vb, db, sb = flow.field_and_divergence(params, cfg, x, Z, t, "brute")
         assert vh.tobytes() == vb.tobytes()
         assert np.abs(dh - db).max() <= 1e-10
         assert (sh["reverse_passes"], sb["reverse_passes"]) == (d, n * d)
+
+
+def pool_bytes_after_a_stage(steps):
+    """Bytes a fresh pool holds after one hollow B=64, n=13 stage."""
+    cfg = net.ArchConfig(n_hidden=32, steps=steps, knn_k=4,
+                         pairwise_diff=True).validate()
+    x = np.random.default_rng(2).standard_normal((64, 13, 3))
+    with pool_swapped(ad.Arena()) as pool:
+        flow.field_and_divergence(net.init_params(cfg, seed=1), cfg, x, t=0.3)
+    return sum(b.nbytes for b in pool.bufs.values())
+
+
+class TestConditionerRelease:
+    """A detached (hollow) build gives each conditioner stage's buffers
+    back to the pool once the next stage exists, so a stage's pool stops
+    growing with the number of message rounds."""
+
+    def test_pool_does_not_grow_with_depth(self):
+        one, four = pool_bytes_after_a_stage(1), pool_bytes_after_a_stage(4)
+        assert four <= 1.3 * one
 
 
 class TestPrunedReversePassProperties:

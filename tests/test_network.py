@@ -387,6 +387,31 @@ class TestJacobianStructure:
         assert kinds.count("detach") == (1 + 2 * cfg.n_heads if detach else 0)
 
 
+class TestConditionerRelease:
+    @pytest.mark.parametrize("pd", [False, True])
+    def test_released_values_cannot_be_read(self, pd):
+        cfg = net.ArchConfig(n_hidden=4, steps=2, knn_k=3,
+                             pairwise_diff=pd).validate()
+        x = np.random.default_rng(23).standard_normal((7, 2))
+        params = net.init_params(cfg, seed=24)
+        fb, _ = build_with_tape(params, cfg, x)
+        assert all(v is not None for v in fb.tape.vals)  # undetached: none
+        fb, xv = build_with_tape(params, cfg, x, detach_conditioner=True)
+        tape = fb.tape
+        released = [i for i, v in enumerate(tape.vals) if v is None]
+        assert released
+        for s_var, v_var in fb.h_steps[0]:
+            assert s_var.value is not None and v_var.value is not None
+        i = released[-1]
+        with pytest.raises(RuntimeError,
+                           match=rf"node {i} \({tape.kinds[i]}\) was released"):
+            tape.vjp(ad.Var(tape, i), 1.0, [xv])
+        # the last round's features are kept, but their parents are not
+        hs = fb.h_steps[0][-1][0]
+        with pytest.raises(RuntimeError, match="was released"):
+            tape.vjp(hs, np.ones(hs.shape), [xv])
+
+
 class TestConditionerIndependence:
     @pytest.mark.parametrize("pd", [False, True])
     def test_features_never_depend_on_own_target(self, pd):
