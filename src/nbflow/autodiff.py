@@ -35,11 +35,13 @@ it against ``math.fsum``).  Outputs are deterministic from run to run and
 bitwise the same with and without a pool.
 
 Ops, rules and ``Tape.vjp``'s cotangent sums write into ``tape.empty``
-buffers: ``np.empty`` on a tape without an arena, else buffers of the
-process-wide pool ``POOL`` (an ``Arena``), on which sampling
-(``flow.field_and_divergence``) and CFM training (``training``) record
-their tapes; a forward op's temporary goes back at once (``Tape.drop``).
-Every new tape on the pool rewinds it, which takes back all
+buffers: ``np.empty`` on a tape without an arena, else buffers of an
+``Arena``.  CFM training (``training``) and shard 0 of a sampling stage
+(``flow.field_and_divergence``) record their tapes on ``POOL``; shard
+k > 0 of a stage records on ``shard_pool(k)``, an arena of its own that
+no other shard touches, so each arena serves one thread at a time.  A
+forward op's temporary goes back at once (``Tape.drop``).
+Every new tape on an arena rewinds it, which takes back all
 its buffers and invalidates the tapes recorded on it before (``vjp`` on
 one raises).  ``Tape.release_since`` gives back, while the tape records,
 the buffers of every node recorded since a mark but the vars it keeps,
@@ -54,9 +56,11 @@ temporary) back once nothing holds it.  A tape's last pass
 (``vjp(..., consume=True)``, training's only one) also gives back each
 forward value once the pass is below its node, since only nodes >= i
 read ``vals[i]``; the tape is spent after it.  Pool memory never
-escapes: ``forward_eval`` and ``Tape.vjp`` return copies.  The pool keeps
-the largest set of buffers one operation needed until the process exits,
-and it assumes one thread.  Arrays under 128 KiB and scatter-adds stay
+escapes: ``forward_eval`` and ``Tape.vjp`` return copies.  An arena keeps
+the largest set of buffers one operation needed until the process exits;
+it has no lock, so the library assumes one calling thread, which owns
+``POOL``, and hands each other arena to one shard.  Arrays under 128 KiB
+and scatter-adds stay
 fresh arrays: a scatter-add is a product with its ``Segments``' CSR
 matrix, built once and shared by every op and pass over that index.
 
@@ -124,7 +128,18 @@ class Arena:
         self.epoch += 1
 
 
-POOL = Arena()  # the one pool of the process (see the module docstring)
+POOL = Arena()  # the calling thread's pool (see the module docstring)
+SHARD_POOLS: list[Arena] = []  # shard k's pool is SHARD_POOLS[k - 1]
+
+
+def shard_pool(k: int) -> Arena | None:
+    """The arena shard k of a stage records on: ``POOL`` for shard 0, else
+    one of ``POOL``'s class made on first use (None when ``POOL`` is)."""
+    if k == 0 or POOL is None:
+        return POOL
+    while len(SHARD_POOLS) < k:
+        SHARD_POOLS.append(type(POOL)())
+    return SHARD_POOLS[k - 1]
 
 
 def _base(a: np.ndarray) -> np.ndarray:
@@ -421,6 +436,28 @@ class Segments:
         return out
 
 
+def _rowwise(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ b into ``out``, each row of it bitwise the same whatever the
+    other rows of ``a`` are, so a sample's rows do not depend on the batch
+    around it.  OpenBLAS picks its kernel by shape and layout, and some
+    kernels sum a row in another order: a one-row product goes to gemv, a
+    transposed b to a small-matrix kernel when the product is small, and
+    with a width 1-3 past a multiple of 8 a row's last columns depend on
+    the row count.  So b is made C-contiguous, and a product of one row or
+    of a width that is not a multiple of 8 runs on a zero-padded copy.
+    The default shapes (widths of 8k columns, many rows) need neither."""
+    b = np.ascontiguousarray(b)
+    (m, k), w = a.shape, b.shape[1]
+    if m > 1 and w % 8 == 0:
+        return np.matmul(a, b, out=out)
+    ap = np.zeros((max(m, 2), k))
+    ap[:m] = a
+    bp = np.zeros((k, -(-w // 8) * 8))
+    bp[:, :w] = b
+    out[...] = (ap @ bp)[:m, :w]
+    return out
+
+
 def affine(xs: list[Var], W: Var, b: Var) -> Var:
     """x @ W + b as one node, x being the parts ``xs`` side by side: part k
     multiplies its block W_k of W's rows.  Part 0's product goes into the
@@ -432,11 +469,11 @@ def affine(xs: list[Var], W: Var, b: Var) -> Var:
         raise ValueError(f"affine parts have {rows[-1]} columns, W has "
                          f"{len(Wv)} rows")
     shape = (len(xs[0].value), Wv.shape[1])
-    v = np.matmul(xs[0].value, Wv[:rows[1]], out=tape.empty(shape))
+    v = _rowwise(xs[0].value, Wv[:rows[1]], tape.empty(shape))
     if len(xs) > 1:
         t = tape.empty(shape)
         for x, r0, r1 in zip(xs[1:], rows[1:], rows[2:]):
-            v += np.matmul(x.value, Wv[r0:r1], out=t)
+            v += _rowwise(x.value, Wv[r0:r1], t)
         tape.drop(t)
     v += b.value
     return tape._push("affine", (*(x.i for x in xs), W.i, b.i), rows, v)
@@ -594,7 +631,7 @@ def _bw_affine(g, tape, ps, rows, want):
     out = [None] * (len(rows) - 1)
     if parts:  # one product over the wanted parts' rows (and any between)
         lo, hi = rows[parts[0]], rows[parts[-1] + 1]
-        gx = np.matmul(g, W[lo:hi].T, out=tape.empty((len(g), hi - lo)))
+        gx = _rowwise(g, W[lo:hi].T, tape.empty((len(g), hi - lo)))
         for j in parts:
             out[j] = gx[:, rows[j] - lo:rows[j + 1] - lo]
     gW = None
@@ -724,7 +761,7 @@ class Program:
     def __init__(self, build: Callable, n_in: int):
         self.build = build
         self.n_in = n_in
-        self.arena: Arena | None = None  # its tapes' arena (POOL), if any
+        self.arena: Arena | None = None  # its tapes' arena, if any
         self.tape: Tape | None = None
         self.in_var: Var | None = None
         self.out_var: Var | None = None

@@ -216,7 +216,9 @@ def cmd_sample(cfg, out_dir, quiet, checkpoint=None):
             "rt_s": run.rt, "rt_forward_s": run.rt_forward,
             "rt_divergence_s": run.rt_divergence,
             "reverse_passes": run.reverse_passes,
-            "max_divergence_jump": run.max_divergence_jump}
+            "max_divergence_jump": run.max_divergence_jump,
+            "shards": run.shards, "usable_cores": run.usable_cores,
+            "blas_threads": run.blas_threads}
     with open(path.with_name("samples_meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -8,9 +8,10 @@ divergence is evaluated at the same stage points as the velocity.
 
 ``field_and_divergence`` is the one evaluation of the velocity with its
 divergence; ``divergence``, ``ModelField.rate`` (the RK4 rate) and the
-benchmark step all call it.  Every mode builds one program for the whole
-batch, evaluated as one disjoint union of its samples, and reads that
-program's Jacobian diagonal along probe vectors:
+benchmark step all call it.  It splits the batch into S contiguous
+shards, each one program evaluated as one disjoint union of its samples
+on an arena of its own, and reads each program's Jacobian diagonal along
+probe vectors:
 
 - ``hollow``: detach the conditioner path and read the full Jacobian
   diagonal with d probe backward passes (valid only for the hollow field,
@@ -23,12 +24,22 @@ program's Jacobian diagonal along probe vectors:
 
 Both backward-pass modes are ``autodiff.jacobian_diagonal`` with a
 different probe set, so hollow mode spends only d backward passes per
-stage for the whole batch.  All three modes return the same velocity.
+stage and shard.  All three modes return the same velocity.
+
+Samples are independent and every op works per row or per segment, so a
+shard's outputs are bitwise those of the same samples in one program.
+The calling thread runs shard 0; a thread pool made on first use runs
+the others on the cores that BLAS leaves idle.  S is
+``min(B, usable cores // BLAS threads, B*n // SHARD_PARTICLES)``, at
+least 1, so a small batch, a single configuration or a BLAS library that
+already has every core runs as one shard on the calling thread.
 """
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,45 +96,123 @@ def _check_mode(cfg: net.ArchConfig, mode: str):
                          "not a baseline")
 
 
+SHARD_PARTICLES = 384  # particles per shard at least (see the README)
+_WORKERS: ThreadPoolExecutor | None = None  # runs shards 1.., made on first use
+
+
+def _forget_workers():  # a forked child has none of its parent's threads
+    global _WORKERS
+    _WORKERS = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def usable_cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def blas_threads() -> int:
+    """BLAS threads as OpenBLAS reads them at load: the first positive
+    ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``, else one per core."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return usable_cores()
+
+
+def shard_count(B: int, n: int) -> dict:
+    """How many shards a stage of B samples of n particles runs as, with
+    the usable cores and BLAS threads that count came from."""
+    cores, blas = usable_cores(), blas_threads()
+    shards = max(1, min(B, cores // blas, B * n // SHARD_PARTICLES))
+    return {"shards": shards, "usable_cores": cores, "blas_threads": blas}
+
+
+def _run_shards(fn, shards: int) -> list:
+    """[fn(0), ..., fn(shards - 1)]: shard 0 on the calling thread, the
+    others on the workers.  Returns once every shard is done, and raises
+    the error of the first shard that failed."""
+    global _WORKERS
+    if shards > 1 and _WORKERS is None:
+        _WORKERS = ThreadPoolExecutor(max(1, usable_cores() - 1),
+                                      thread_name_prefix="nbflow-shard")
+    futures = [_WORKERS.submit(fn, k) for k in range(1, shards)]
+    try:
+        first = fn(0)
+    finally:
+        wait(futures)  # no shard may still run when the call returns
+    return [first] + [f.result() for f in futures]
+
+
 def field_and_divergence(params, cfg: net.ArchConfig, x, Z=None,
                          t: float = 0.0, mode: str = "hollow",
                          graph_override=None):
     """Velocity and exact divergence of the field for a (B, n, d) batch.
 
-    Returns (velocity (B, n, d), divergence (B,), stats); ``stats`` holds
-    the reverse-pass count and the seconds spent on the forward pass
-    (graph plan included) and on the divergence.  Every mode evaluates the
-    batch as one program, with per-sample labels, times and graph
-    overrides; hollow and brute mode read its diagonal with d or n*d probe
-    passes, fd by central differences along brute's n*d probes.  Every
-    tape is recorded on ``autodiff.POOL``; the arrays returned are not
-    pool memory.
+    Returns (velocity (B, n, d), divergence (B,), stats).  ``stats`` holds
+    the reverse-pass count (probe vectors per stage, which every shard
+    runs), the wall-clock seconds of the forward pass (graph plan
+    included) and of the divergence, and ``shard_count``'s fields.  Each
+    shard is one program of its samples, with their labels, times and
+    graph overrides; hollow and brute mode read its diagonal with d or n*d
+    probe passes, fd by central differences along brute's n*d probes.
+    Shard k records its tapes on ``autodiff.shard_pool(k)``; the arrays
+    returned are not pool memory.
     """
     _check_mode(cfg, mode)
     x = np.asarray(x, dtype=np.float64)
     B, n, d = x.shape
-    xf = x.reshape(-1)
-    probes = (ad.probe_vectors(B * n, d) if mode == "hollow"
-              else ad.probe_vectors(B, n * d))
-    t0 = time.perf_counter()
-    prog = net.make_field_program(params, cfg, n, d, Z=Z, t=t, batch=B,
-                                  graph_override=graph_override,
-                                  detach_conditioner=(mode == "hollow"))
-    prog.arena = ad.POOL
-    vel = ad.forward_eval(prog, xf)
-    t1 = time.perf_counter()
-    if mode == "fd":
+    info = shard_count(B, n)
+    S = info["shards"]
+    cuts = [B * k // S for k in range(S + 1)]
+    Zs, ts, go = net.batch_inputs(B, n, Z, t, graph_override)
+    pools = [ad.shard_pool(k) for k in range(S)]
+    progs = [None] * S
+
+    def forward(k):
+        a, b = cuts[k], cuts[k + 1]
+        prog = progs[k] = net.make_field_program(
+            params, cfg, n, d, Z=Zs[a:b], t=ts[a:b], batch=b - a,
+            graph_override=None if go is None else go[a:b],
+            detach_conditioner=(mode == "hollow"))
+        prog.arena = pools[k]
+        return ad.forward_eval(prog, x[a:b].reshape(-1))
+
+    def diagonal(k):
+        prog, (a, b) = progs[k], cuts[k:k + 2]
+        if mode == "hollow":
+            return ad.jacobian_diagonal(prog, ad.probe_vectors((b - a) * n, d))
+        probes = ad.probe_vectors(b - a, n * d)
+        if mode == "brute":
+            return ad.jacobian_diagonal(prog, probes)
         # samples are independent, so moving coordinate i of every sample
         # at once (along probe i) gives column i of every sample's own
         # Jacobian block
+        xf = x[a:b].reshape(-1)
         J = ad.full_jacobian_fd(
             lambda u: ad.forward_eval(prog, xf + u @ probes), np.zeros(n * d))
-        diag = np.diagonal(J.reshape(B, n * d, n * d), axis1=1, axis2=2)
-    else:
-        diag = ad.jacobian_diagonal(prog, probes).reshape(B, n * d)
-    stats = {"reverse_passes": prog.tape.n_reverse_passes,
+        return np.diagonal(J.reshape(b - a, n * d, n * d), axis1=1, axis2=2)
+
+    t0 = time.perf_counter()
+    vel = np.concatenate(_run_shards(forward, S))
+    t1 = time.perf_counter()
+    diag = np.concatenate([a.reshape(-1, n * d)
+                           for a in _run_shards(diagonal, S)])
+    passes = {prog.tape.n_reverse_passes for prog in progs}
+    assert len(passes) == 1, f"shards ran different pass counts: {passes}"
+    stats = {"reverse_passes": passes.pop(),
              "seconds_forward": t1 - t0,
-             "seconds_divergence": time.perf_counter() - t1}
+             "seconds_divergence": time.perf_counter() - t1, **info}
     return vel.reshape(B, n, d), diag.sum(axis=1), stats
 
 
@@ -147,7 +236,8 @@ def divergence(params, cfg: net.ArchConfig, x, Z=None, t: float = 0.0,
 
 
 class ModelField:
-    """Joint velocity/divergence evaluator that adds up timings and passes."""
+    """Joint velocity/divergence evaluator that adds up timings and passes,
+    and keeps ``shard_count``'s fields of the stage with the most shards."""
 
     def __init__(self, params, cfg: net.ArchConfig, Z=None,
                  mode: str = "hollow", graph_override=None):
@@ -160,6 +250,7 @@ class ModelField:
         self.seconds_forward = 0.0
         self.seconds_divergence = 0.0
         self.reverse_passes = 0
+        self.sharding = {"shards": 0, "usable_cores": 0, "blas_threads": 0}
 
     def rate(self, x, t):
         """(velocity, divergence) at one time point for a (B,n,d) batch."""
@@ -169,6 +260,8 @@ class ModelField:
         self.seconds_forward += stats["seconds_forward"]
         self.seconds_divergence += stats["seconds_divergence"]
         self.reverse_passes += stats["reverse_passes"]
+        if stats["shards"] > self.sharding["shards"]:
+            self.sharding = {k: stats[k] for k in self.sharding}
         return vel, div
 
 
@@ -249,6 +342,9 @@ class SampleRun:
     rt_divergence: float
     reverse_passes: int
     max_divergence_jump: float
+    shards: int              # most shards a stage ran as
+    usable_cores: int        # and what that count came from
+    blas_threads: int
 
 
 def sample_with_likelihood(params, cfg: net.ArchConfig, prior: GaussianPrior,
@@ -288,5 +384,5 @@ def sample_with_likelihood(params, cfg: net.ArchConfig, prior: GaussianPrior,
         mode=mode, steps=steps, seed=seed, rt=rt,
         rt_forward=mf.seconds_forward, rt_divergence=mf.seconds_divergence,
         reverse_passes=mf.reverse_passes,
-        max_divergence_jump=max(jumps) if jumps else 0.0,
+        max_divergence_jump=max(jumps) if jumps else 0.0, **mf.sharding,
     )

@@ -63,12 +63,19 @@ def in_pool(a, pool):
 
 @contextlib.contextmanager
 def pool_swapped(pool):
-    """``autodiff.POOL`` is ``pool`` inside the block (None: no pool)."""
-    saved, ad.POOL = ad.POOL, pool
+    """``autodiff.POOL`` is ``pool`` inside the block (None: no pool), and
+    the other shards' pools are new ones of its class."""
+    saved = ad.POOL, ad.SHARD_POOLS
+    ad.POOL, ad.SHARD_POOLS = pool, []
     try:
         yield pool
     finally:
-        ad.POOL = saved
+        ad.POOL, ad.SHARD_POOLS = saved
+
+
+def shard_pools():
+    """Every shard's pool: ``autodiff.POOL``, then the others made so far."""
+    return [ad.POOL, *ad.SHARD_POOLS]
 
 
 class TestForwardEval:

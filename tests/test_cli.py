@@ -310,6 +310,9 @@ class TestPipeline:
             assert key in metrics
         assert metrics["n_samples"] == 64
         assert 0 < metrics["ess"] <= 1
+        meta = json.loads((tmp_path / "samples_meta.json").read_text())
+        assert meta["shards"] >= 1
+        assert meta["usable_cores"] >= 1 and meta["blas_threads"] >= 1
 
     def test_sample_determinism(self, tmp_path):
         args = self._base_args(tmp_path)

@@ -1,6 +1,10 @@
 """Integrator accuracy, divergence-mode agreement, priors, and sampling."""
 
+import contextlib
 import dataclasses
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from nbflow import flow
 from nbflow import graphs as gt
 from nbflow import network as net
 from nbflow import training
-from test_autodiff import NanPool, in_pool, pool_swapped
+from test_autodiff import NanPool, in_pool, pool_swapped, shard_pools
 from test_graphs import make_cloud
 
 
@@ -204,34 +208,83 @@ def random_field(kind, n, d, B, graph, attention, pairwise_diff, seed):
     return cfg, params, x, Z, float(rng.random()), rng
 
 
+@contextlib.contextmanager
+def shards_forced(cores):
+    """``field_and_divergence`` sees ``cores`` usable cores, one BLAS thread
+    and one particle per shard at least, so it runs min(B, cores) shards."""
+    saved = flow.usable_cores, flow.blas_threads, flow.SHARD_PARTICLES
+    flow.usable_cores, flow.blas_threads = (lambda: cores), (lambda: 1)
+    flow.SHARD_PARTICLES = 1
+    try:
+        yield
+    finally:
+        flow.usable_cores, flow.blas_threads, flow.SHARD_PARTICLES = saved
+
+
 class TestFieldAndDivergenceProperties:
     """Hollow divergence against the dense brute-force oracle (n*d unit
-    cotangents), both through ``field_and_divergence``.  Hollow mode runs
-    on a NanPool at every depth, so a read of a conditioner buffer that
-    its build released would show up as NaN."""
+    cotangents), both through ``field_and_divergence``, and every mode's
+    sharded stage against its one-shard stage.  Every shard runs on a
+    NanPool at every depth, so a read of a conditioner buffer that its
+    build released would show up as NaN."""
 
-    @given(**FIELD_CASES, steps=st.integers(1, 3))
-    def test_hollow_equals_brute(self, steps, **case):
-        cfg, params, x, Z, t, _ = random_field(**case)
+    @given(**FIELD_CASES, steps=st.integers(1, 3), shards=st.integers(1, 3),
+           override=st.booleans())
+    def test_hollow_equals_brute(self, steps, shards, override, **case):
+        cfg, params, x, Z, _, rng = random_field(**case)
         cfg = dataclasses.replace(cfg, steps=steps).validate()
-        n, d = x.shape[1:]
-        with pool_swapped(NanPool()):
-            vh, dh, sh = flow.field_and_divergence(params, cfg, x, Z, t,
-                                                   "hollow")
-        vb, db, sb = flow.field_and_divergence(params, cfg, x, Z, t, "brute")
-        assert vh.tobytes() == vb.tobytes()
+        B, n, d = x.shape
+        t = rng.random(B)  # one flow time per sample
+        # each sample gets its own graphs, built from another sample
+        go = [net.sample_graphs(x[(s + 1) % B], cfg)
+              for s in range(B)] if override else None
+        make_field_program, built = net.make_field_program, []
+
+        def recording(*args, **kw):  # each shard's labels, times, graphs
+            built.append((kw["Z"], kw["t"], kw["graph_override"]))
+            return make_field_program(*args, **kw)
+
+        out = {}
+        for S in (1, shards):
+            with shards_forced(S), pool_swapped(NanPool()), \
+                    pytest.MonkeyPatch.context() as mp:
+                mp.setattr(net, "make_field_program", recording)
+                for mode in ("hollow", "brute", "fd"):
+                    built.clear()
+                    out[S, mode] = flow.field_and_divergence(
+                        params, cfg, x, Z, t, mode, go)
+                    assert out[S, mode][2]["shards"] == len(built) == min(B, S)
+                    blocks = []  # shards run in any order: find each one's
+                    for z, u, o in built:  # samples by its first time
+                        a, m = int(np.flatnonzero(t == u[0])[0]), len(u)
+                        assert np.array_equal(u, t[a:a + m])
+                        assert np.array_equal(z, Z[a:a + m])
+                        assert o == (go and go[a:a + m])
+                        blocks.append((a, a + m))
+                    cuts = [a for a, _ in sorted(blocks)] + [B]
+                    assert sorted(blocks) == list(zip(cuts, cuts[1:]))
+                    assert len(shard_pools()) == min(B, S)
+                    assert all(isinstance(p, NanPool) for p in shard_pools())
+        for mode in ("hollow", "brute", "fd"):
+            (v1, d1, s1), (vs, ds, ss) = out[1, mode], out[shards, mode]
+            assert (vs.tobytes(), ds.tobytes()) == (v1.tobytes(), d1.tobytes())
+            assert ss["reverse_passes"] == s1["reverse_passes"]
+        (vh, dh, sh), (vb, db, sb) = out[1, "hollow"], out[1, "brute"]
+        assert vh.tobytes() == vb.tobytes() == out[1, "fd"][0].tobytes()
         assert np.abs(dh - db).max() <= 1e-10
         assert (sh["reverse_passes"], sb["reverse_passes"]) == (d, n * d)
 
 
 def pool_bytes_after_a_stage(steps):
-    """Bytes a fresh pool holds after one hollow B=64, n=13 stage."""
+    """Bytes every shard's fresh pool holds after one hollow B=64, n=13
+    stage."""
     cfg = net.ArchConfig(n_hidden=32, steps=steps, knn_k=4,
                          pairwise_diff=True).validate()
     x = np.random.default_rng(2).standard_normal((64, 13, 3))
-    with pool_swapped(ad.Arena()) as pool:
+    with pool_swapped(ad.Arena()):
         flow.field_and_divergence(net.init_params(cfg, seed=1), cfg, x, t=0.3)
-    return sum(b.nbytes for b in pool.bufs.values())
+        return sum(b.nbytes for pool in shard_pools()
+                   for b in pool.bufs.values())
 
 
 class TestConditionerRelease:
@@ -501,6 +554,95 @@ class TestSampleWithLikelihood:
         run = flow.sample_with_likelihood(params, cfg, prior, count=6,
                                           steps=5, seed=9)
         np.testing.assert_allclose(run.x.mean(axis=1), 0.0, atol=1e-12)
+
+
+class TestShards:
+    """How many shards a stage runs as, and what a failing shard leaves."""
+
+    def setup_method(self):
+        self.cfg = net.ArchConfig(n_hidden=6, steps=1, knn_k=3).validate()
+        self.params = net.init_params(self.cfg, seed=0)
+        self.x = np.random.default_rng(3).standard_normal((60, 13, 2))
+
+    def stage(self, x, mode="hollow"):
+        return flow.field_and_divergence(self.params, self.cfg, x, t=0.4,
+                                         mode=mode)
+
+    @pytest.mark.parametrize("sample", [1, 3])  # in shard 0, in shard 1
+    @pytest.mark.parametrize("mode", ["hollow", "fd"])
+    def test_failing_shard_raises_and_the_next_call_works(self, sample, mode):
+        x = self.x[:4]
+        bad = x.copy()
+        bad[sample, 0, 0] = np.nan
+        with pool_swapped(NanPool()):
+            with shards_forced(1):
+                with pytest.raises(Exception) as alone:
+                    self.stage(bad, mode)
+                v1, d1, _ = self.stage(x, mode)
+            with shards_forced(2):
+                with pytest.raises(alone.type, match=str(alone.value)):
+                    self.stage(bad, mode)
+                v2, d2, stats = self.stage(x, mode)
+        assert stats["shards"] == 2
+        assert (v2.tobytes(), d2.tobytes()) == (v1.tobytes(), d1.tobytes())
+
+    @pytest.mark.parametrize("cores, env, blas", [
+        (1, {}, 1), (2, {}, 2), (2, {"OPENBLAS_NUM_THREADS": "2"}, 2),
+        (4, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "4"}, 4),
+        (2, {"OPENBLAS_NUM_THREADS": "x"}, 2)])
+    def test_no_idle_core_starts_no_worker(self, monkeypatch, cores, env,
+                                           blas):
+        monkeypatch.setattr(flow, "_WORKERS", None)
+        monkeypatch.setattr(flow.os, "sched_getaffinity",
+                            lambda pid: set(range(cores)))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        threads = threading.active_count()
+        with pool_swapped(ad.Arena()):
+            *_, stats = self.stage(self.x)
+            assert ad.SHARD_POOLS == [] and flow._WORKERS is None
+        assert threading.active_count() == threads
+        assert (stats["shards"], stats["usable_cores"],
+                stats["blas_threads"]) == (1, cores, blas)
+
+    def test_idle_core_runs_a_second_shard(self, monkeypatch):
+        monkeypatch.setattr(flow, "_WORKERS", None)
+        monkeypatch.setattr(flow.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        with pool_swapped(ad.Arena()):
+            for B, shards in ((59, 1), (60, 2)):  # 767 and 780 particles
+                *_, stats = self.stage(self.x[:B])
+                assert stats["shards"] == shards
+                assert len(ad.SHARD_POOLS) == shards - 1
+            # a forked child has no worker threads, so it starts its own
+            child = multiprocessing.get_context("fork").Process(
+                target=self.stage, args=(self.x,))
+            child.start()
+            child.join(60)
+            if child.is_alive():
+                child.kill()
+            assert child.exitcode == 0
+        flow._WORKERS.shutdown()
+
+    def test_more_shards_than_cores_under_fast_switching(self, monkeypatch):
+        monkeypatch.setattr(flow, "_WORKERS", None)
+        x = self.x[:8]
+        with pool_swapped(NanPool()), shards_forced(1):
+            v1, d1, _ = self.stage(x, "brute")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pool_swapped(NanPool()), shards_forced(8):
+                for _ in range(3):
+                    v8, d8, stats = self.stage(x, "brute")
+                    assert stats["shards"] == 8
+                    assert (v8.tobytes(), d8.tobytes()) == (v1.tobytes(),
+                                                            d1.tobytes())
+        finally:
+            sys.setswitchinterval(interval)
+            flow._WORKERS.shutdown()
 
 
 class TestModelFieldGuards:
