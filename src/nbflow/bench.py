@@ -5,7 +5,8 @@ same point, which is the unit of work one RK4 stage performs during
 sampling with likelihoods.  Forward and backward wallclock are timed
 separately; backward-pass counts are exact integers read off the tape, so
 they are immune to timing noise: d for the hollow field, n*d for the
-brute-force baseline.
+brute-force baseline.  ``scaling_sweep`` and ``scaling_summary`` are the
+hollow-vs-baseline study that ``nbflow bench`` and demo 04 report.
 """
 
 from __future__ import annotations
@@ -84,6 +85,38 @@ def measure_step(params, cfg: net.ArchConfig, x: np.ndarray, Z=None,
                        rt=med_f + med_b, rt_forward=med_f,
                        rt_divergence=med_b, reverse_passes=passes,
                        repeats=repeats, seed=seed)
+
+
+def scaling_sweep(n_list, k: int, d: int, steps: int, n_hidden: int,
+                  repeats: int, seed: int = 0):
+    """Yield (hollow, baseline) step records for each n of ``n_list``, both
+    on one draw of n points from a generator seeded by ``seed``; the
+    keywords are those of the ``bench`` config section."""
+    rng = np.random.default_rng(seed)
+    for n in n_list:
+        x = rng.standard_normal((n, d))
+        hollow = net.ArchConfig(n_hidden=n_hidden, steps=steps,
+                                knn_k=min(k, n - 1)).validate()
+        baseline = net.ArchConfig(n_hidden=n_hidden, steps=steps,
+                                  baseline=True).validate()
+        yield tuple(measure_step(net.init_params(c, seed=1), c, x,
+                                 repeats=repeats, seed=seed)
+                    for c in (hollow, baseline))
+
+
+def scaling_summary(hollow: list[BenchRecord],
+                    baseline: list[BenchRecord]) -> dict:
+    """Fitted exponents and per-n speed-ups of a sweep's records."""
+    ns = [r.n for r in hollow]
+    return {
+        "n_list": ns,
+        "hollow_step_slope": fit_scaling(ns, [r.rt for r in hollow]),
+        "baseline_divergence_slope": fit_scaling(
+            ns, [r.rt_divergence for r in baseline]),
+        "lg_edges_slope": fit_scaling(
+            ns, [max(r.n_lg_edges, 1) for r in hollow]),
+        "speedups": speedup_report(hollow, baseline),
+    }
 
 
 def fit_scaling(ns, ys) -> tuple[float, float]:

@@ -194,6 +194,7 @@ def cmd_sample(cfg, out_dir, quiet, checkpoint=None):
     params, arch, manifest = net.load_checkpoint(ck)
     spec = _system_spec(cfg)
     sc = cfg["sample"]
+    _checked("sample", lambda: flow.check_mode(arch, sc["divergence_mode"]))
     prior = flow.GaussianPrior(n=spec.n, d=spec.d,
                                mean_free=arch.pairwise_diff)
     run = flow.sample_with_likelihood(
@@ -217,8 +218,8 @@ def cmd_sample(cfg, out_dir, quiet, checkpoint=None):
             "rt_divergence_s": run.rt_divergence,
             "reverse_passes": run.reverse_passes,
             "max_divergence_jump": run.max_divergence_jump,
-            "shards": run.shards, "usable_cores": run.usable_cores,
-            "blas_threads": run.blas_threads}
+            "shards": run.shards, "usable_cores": flow.usable_cores(),
+            "blas_threads": flow.blas_threads()}
     with open(path.with_name("samples_meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -238,7 +239,7 @@ def cmd_evaluate(cfg, out_dir, quiet, samples_path=None, baseline_metrics=None):
     if meta_path.exists():
         with open(meta_path, encoding="utf-8") as fh:
             timings = json.load(fh)
-    arr = np.genfromtxt(samples_path, delimiter=",", names=True)
+    arr = np.genfromtxt(samples_path, delimiter=",", names=True, ndmin=1)
     nd = spec.n * spec.d
     x = np.stack([arr[f"x{i}"] for i in range(nd)], axis=1)
     x = x.reshape(-1, spec.n, spec.d)
@@ -257,13 +258,12 @@ def cmd_evaluate(cfg, out_dir, quiet, samples_path=None, baseline_metrics=None):
     if baseline_metrics:
         with open(baseline_metrics, encoding="utf-8") as fh:
             base = json.load(fh)
-        mine = {"ess": metrics["ess"], "n_samples": metrics["n_samples"],
-                "rt": metrics["rt_s"]}
-        theirs = {"ess": base["ess"], "n_samples": base["n_samples"],
-                  "rt": base["rt_s"]}
+        mine, theirs = ({"ess": m["ess"], "ess_rem": m["ess_rem"],
+                         "n_samples": m["n_samples"], "rt": m["rt_s"]}
+                        for m in (metrics, base))
         metrics["effsu"] = boltzmann.effective_speedup(mine, theirs)
-        mine["ess"], theirs["ess"] = metrics["ess_rem"], base["ess_rem"]
-        metrics["effsu_rem"] = boltzmann.effective_speedup(mine, theirs)
+        metrics["effsu_rem"] = boltzmann.effective_speedup(mine, theirs,
+                                                           key="ess_rem")
     path = out_dir / "metrics.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
@@ -275,40 +275,20 @@ def cmd_evaluate(cfg, out_dir, quiet, samples_path=None, baseline_metrics=None):
 
 
 def cmd_bench(cfg, out_dir, quiet):
-    b = cfg["bench"]
-    rng = np.random.default_rng(cfg["seed"])
-    rows, hollow_recs, base_recs = [], [], []
-    for n in b["n_list"]:
-        x = rng.standard_normal((n, b["d"]))
-        hcfg = net.ArchConfig(n_hidden=b["n_hidden"], steps=b["steps"],
-                              knn_k=min(b["k"], n - 1)).validate()
-        bcfg = net.ArchConfig(n_hidden=b["n_hidden"], steps=b["steps"],
-                              baseline=True).validate()
-        hrec = bench.measure_step(net.init_params(hcfg, seed=1), hcfg, x,
-                                  repeats=b["repeats"], seed=cfg["seed"])
-        brec = bench.measure_step(net.init_params(bcfg, seed=1), bcfg, x,
-                                  repeats=b["repeats"], seed=cfg["seed"])
-        hollow_recs.append(hrec)
-        base_recs.append(brec)
-        rows += [hrec.as_row(), brec.as_row()]
+    hollow, baseline = [], []
+    for h, b in bench.scaling_sweep(**cfg["bench"], seed=cfg["seed"]):
+        hollow.append(h)
+        baseline.append(b)
         if not quiet:
-            print(f"n={n}: hollow {hrec.rt*1e3:.2f} ms ({hrec.reverse_passes} bp), "
-                  f"baseline {brec.rt*1e3:.2f} ms ({brec.reverse_passes} bp)")
+            print(f"n={h.n}: hollow {h.rt*1e3:.2f} ms ({h.reverse_passes} bp), "
+                  f"baseline {b.rt*1e3:.2f} ms ({b.reverse_passes} bp)")
     csv_path = out_dir / "bench.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(bench.BENCH_FIELDS) + "\n")
-        for row in rows:
-            fh.write(_fmt_row(row) + "\n")
-    ns = [r.n for r in hollow_recs]
-    summary = {
-        "n_list": ns,
-        "hollow_step_slope": bench.fit_scaling(ns, [r.rt for r in hollow_recs]),
-        "baseline_divergence_slope": bench.fit_scaling(
-            ns, [r.rt_divergence for r in base_recs]),
-        "lg_edges_slope": bench.fit_scaling(
-            ns, [max(r.n_lg_edges, 1) for r in hollow_recs]),
-        "speedups": bench.speedup_report(hollow_recs, base_recs),
-    }
+        for pair in zip(hollow, baseline):
+            for rec in pair:
+                fh.write(_fmt_row(rec.as_row()) + "\n")
+    summary = bench.scaling_summary(hollow, baseline)
     with open(out_dir / "bench_summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -318,23 +298,23 @@ def cmd_bench(cfg, out_dir, quiet):
 
 
 def cmd_inspect_graph(cfg, out_dir, quiet):
-    from . import graphs as gt
+    """The plan the field runs on one configuration: per round, the active
+    triples summed over heads and the drop from the round before."""
     spec = _system_spec(cfg)
     arch = _arch_config(cfg)
-    rng = np.random.default_rng(cfg["seed"])
-    x = rng.standard_normal((spec.n, spec.d))
-    gs = net.sample_graphs(x, arch)
-    g = gs[0]
-    lg = gt.build_line_graph(g)
-    bt = gt.init_backtracking(lg, arch.pairwise_diff)
+    x = np.random.default_rng(cfg["seed"]).standard_normal((spec.n, spec.d))
+    plan = net.make_plan(x[None], arch)
+    active = np.sum([[len(hp.init_from.idx)]
+                     + [len(t_from.idx) for t_from, _ in hp.step_pairs]
+                     for hp in plan.heads], axis=0)
     path = out_dir / "graph.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("t,active_lg_edges,removed_this_step\n")
-        for t in range(arch.steps):
-            removed, bt = gt.prune_and_update(lg, bt)
-            fh.write(f"{t},{lg.n_active},{removed}\n")
-    summary = {"n": spec.n, "k": arch.knn_k, "E": g.n_edges,
-               "E_lg": lg.n_triples}
+        for t in range(1, len(active)):
+            fh.write(f"{t - 1},{active[t]},{active[t - 1] - active[t]}\n")
+    summary = {"n": spec.n, "k": arch.knn_k,
+               "E": sum(len(hp.src.idx) for hp in plan.heads),
+               "E_lg": int(active[0])}
     with open(out_dir / "graph_summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True)
         fh.write("\n")

@@ -89,11 +89,12 @@ class GaussianPrior:
 # divergence of the model field
 # ---------------------------------------------------------------------------
 
-def _check_mode(cfg: net.ArchConfig, mode: str):
+def check_mode(cfg: net.ArchConfig, mode: str):
+    """Reject a mode the field cannot run, naming ``divergence_mode``."""
     check("sample", {"divergence_mode": mode})
     if mode == "hollow" and cfg.baseline:
-        raise ValueError("hollow divergence requires the hollow field, "
-                         "not a baseline")
+        raise ValueError("divergence_mode 'hollow' requires the hollow "
+                         "field; a baseline takes 'brute' or 'fd'")
 
 
 SHARD_PARTICLES = 384  # particles per shard at least (see the README)
@@ -130,12 +131,10 @@ def blas_threads() -> int:
     return usable_cores()
 
 
-def shard_count(B: int, n: int) -> dict:
-    """How many shards a stage of B samples of n particles runs as, with
-    the usable cores and BLAS threads that count came from."""
-    cores, blas = usable_cores(), blas_threads()
-    shards = max(1, min(B, cores // blas, B * n // SHARD_PARTICLES))
-    return {"shards": shards, "usable_cores": cores, "blas_threads": blas}
+def shard_count(B: int, n: int) -> int:
+    """How many shards a stage of B samples of n particles runs as."""
+    return max(1, min(B, usable_cores() // blas_threads(),
+                      B * n // SHARD_PARTICLES))
 
 
 def _run_shards(fn, shards: int) -> list:
@@ -162,18 +161,17 @@ def field_and_divergence(params, cfg: net.ArchConfig, x, Z=None,
     Returns (velocity (B, n, d), divergence (B,), stats).  ``stats`` holds
     the reverse-pass count (probe vectors per stage, which every shard
     runs), the wall-clock seconds of the forward pass (graph plan
-    included) and of the divergence, and ``shard_count``'s fields.  Each
+    included) and of the divergence, and the shard count.  Each
     shard is one program of its samples, with their labels, times and
     graph overrides; hollow and brute mode read its diagonal with d or n*d
     probe passes, fd by central differences along brute's n*d probes.
     Shard k records its tapes on ``autodiff.shard_pool(k)``; the arrays
     returned are not pool memory.
     """
-    _check_mode(cfg, mode)
+    check_mode(cfg, mode)
     x = np.asarray(x, dtype=np.float64)
     B, n, d = x.shape
-    info = shard_count(B, n)
-    S = info["shards"]
+    S = shard_count(B, n)
     cuts = [B * k // S for k in range(S + 1)]
     Zs, ts, go = net.batch_inputs(B, n, Z, t, graph_override)
     pools = [ad.shard_pool(k) for k in range(S)]
@@ -212,7 +210,7 @@ def field_and_divergence(params, cfg: net.ArchConfig, x, Z=None,
     assert len(passes) == 1, f"shards ran different pass counts: {passes}"
     stats = {"reverse_passes": passes.pop(),
              "seconds_forward": t1 - t0,
-             "seconds_divergence": time.perf_counter() - t1, **info}
+             "seconds_divergence": time.perf_counter() - t1, "shards": S}
     return vel.reshape(B, n, d), diag.sum(axis=1), stats
 
 
@@ -237,11 +235,11 @@ def divergence(params, cfg: net.ArchConfig, x, Z=None, t: float = 0.0,
 
 class ModelField:
     """Joint velocity/divergence evaluator that adds up timings and passes,
-    and keeps ``shard_count``'s fields of the stage with the most shards."""
+    and keeps the most shards a stage ran as."""
 
     def __init__(self, params, cfg: net.ArchConfig, Z=None,
                  mode: str = "hollow", graph_override=None):
-        _check_mode(cfg, mode)
+        check_mode(cfg, mode)
         self.params = params
         self.cfg = cfg
         self.Z = Z
@@ -250,7 +248,7 @@ class ModelField:
         self.seconds_forward = 0.0
         self.seconds_divergence = 0.0
         self.reverse_passes = 0
-        self.sharding = {"shards": 0, "usable_cores": 0, "blas_threads": 0}
+        self.shards = 0
 
     def rate(self, x, t):
         """(velocity, divergence) at one time point for a (B,n,d) batch."""
@@ -260,8 +258,7 @@ class ModelField:
         self.seconds_forward += stats["seconds_forward"]
         self.seconds_divergence += stats["seconds_divergence"]
         self.reverse_passes += stats["reverse_passes"]
-        if stats["shards"] > self.sharding["shards"]:
-            self.sharding = {k: stats[k] for k in self.sharding}
+        self.shards = max(self.shards, stats["shards"])
         return vel, div
 
 
@@ -343,8 +340,6 @@ class SampleRun:
     reverse_passes: int
     max_divergence_jump: float
     shards: int              # most shards a stage ran as
-    usable_cores: int        # and what that count came from
-    blas_threads: int
 
 
 def sample_with_likelihood(params, cfg: net.ArchConfig, prior: GaussianPrior,
@@ -384,5 +379,5 @@ def sample_with_likelihood(params, cfg: net.ArchConfig, prior: GaussianPrior,
         mode=mode, steps=steps, seed=seed, rt=rt,
         rt_forward=mf.seconds_forward, rt_divergence=mf.seconds_divergence,
         reverse_passes=mf.reverse_passes,
-        max_divergence_jump=max(jumps) if jumps else 0.0, **mf.sharding,
+        max_divergence_jump=max(jumps) if jumps else 0.0, shards=mf.shards,
     )

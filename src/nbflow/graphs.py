@@ -129,10 +129,6 @@ class LineGraph:
             self.active = np.ones(self.t_from.shape[0], dtype=bool)
 
     @property
-    def n_nodes(self) -> int:
-        return self.graph.n_edges
-
-    @property
     def n_triples(self) -> int:
         return int(self.t_from.size)
 

@@ -598,14 +598,7 @@ def evaluate_field(params, cfg: ArchConfig, x, Z=None, t=0.0,
 def hollow_forward(params, cfg, x, Z=None, t=0.0, graph_override=None):
     """The block-hollow field b(x, t); rejects baseline configurations."""
     if cfg.baseline:
-        raise ValueError("configuration is a baseline; use baseline_forward")
-    return evaluate_field(params, cfg, x, Z, t, graph_override)
-
-
-def baseline_forward(params, cfg, x, Z=None, t=0.0, graph_override=None):
-    """The conventional-GNN field; requires cfg.baseline."""
-    if not cfg.baseline:
-        raise ValueError("configuration is not a baseline")
+        raise ValueError("configuration is a baseline; use evaluate_field")
     return evaluate_field(params, cfg, x, Z, t, graph_override)
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from nbflow import bench, cli
+from nbflow import bench, boltzmann, cli
 from nbflow import flow
 from nbflow import network as net
 from nbflow import training
@@ -285,6 +285,46 @@ class TestInspectGraph:
         assert "config_hash" in manifest
 
 
+class TestInspectGraphReadsThePlan:
+    """``inspect-graph`` reports ``make_plan``'s rounds summed over heads."""
+
+    @pytest.mark.parametrize("sets", [
+        ["system.n=8", "model.prune=false"],
+        ["system.n=13", "model.knn_k=null", "model.heads=3"],
+        ["system.n=13", "model.knn_k=null", "model.heads=3", "model.overlap=1",
+         "model.pairwise_diff=true", "model.steps=3"],
+        ["system.n=6", "model.knn_k=null", "model.baseline=true"],
+        ["system.n=9", "model.baseline=true"]],
+        ids=["no_prune", "heads", "heads_overlap", "baseline", "knn_baseline"])
+    def test_rows_and_summary_match_the_plan(self, tmp_path, sets):
+        assert run(["inspect-graph", "--out", tmp_path, "--quiet"]
+                   + [a for kv in sets for a in ("--set", kv)]) == 0
+        cfg = cli.validate_config(cli.apply_overrides({}, sets))
+        arch = net.ArchConfig.from_dict(cfg["model"])
+        n, d = cfg["system"]["n"], cfg["system"]["d"]
+        x = np.random.default_rng(cfg["seed"]).standard_normal((1, n, d))
+        plan = net.make_plan(x, arch)
+        lines = (tmp_path / "graph.csv").read_text().splitlines()
+        assert lines[0] == "t,active_lg_edges,removed_this_step"
+        rows = [tuple(map(int, line.split(","))) for line in lines[1:]]
+        before = sum(len(hp.init_from.idx) for hp in plan.heads)
+        rounds = 0 if arch.baseline else arch.steps
+        assert len(rows) == rounds
+        for t in range(rounds):
+            active = sum(len(hp.step_pairs[t][0].idx) for hp in plan.heads)
+            assert rows[t] == (t, active, before - active)
+            before = active
+        if not arch.prune:
+            assert all(removed == 0 for *_, removed in rows)
+        summary = json.loads((tmp_path / "graph_summary.json").read_text())
+        assert summary == {
+            "n": n, "k": arch.knn_k,
+            "E": sum(len(hp.src.idx) for hp in plan.heads),
+            "E_lg": 0 if arch.baseline else sum(
+                len(hp.init_from.idx) for hp in plan.heads)}
+        assert summary["E"] > 0
+
+
 class TestPipeline:
     def _base_args(self, out):
         return ["--out", out, "--quiet",
@@ -359,6 +399,48 @@ class TestPipeline:
         metrics = json.loads(base.read_text())
         assert metrics["effsu"] == pytest.approx(1.0)
         assert metrics["effsu_rem"] == pytest.approx(1.0)
+
+    def test_effsu_rem_reads_ess_rem(self, tmp_path):
+        # both runs' ess and ess_rem differ, so a swap of either shows
+        cfg = net.ArchConfig(n_hidden=6, steps=1, knn_k=2).validate()
+        net.save_checkpoint(tmp_path / "checkpoint_best",
+                            net.init_params(cfg, seed=0), cfg)
+        # 1% of 128 samples is one, which ess_rem clips at either end
+        args = self._base_args(tmp_path) + ["--set", "sample.count=128"]
+        assert run(["sample"] + args) == 0
+        other = tmp_path / "base_metrics.json"
+        other.write_text(json.dumps({"ess": 0.5, "ess_rem": 0.25,
+                                     "n_samples": 32, "rt_s": 2.0}))
+        assert run(["evaluate", "--baseline-metrics", other] + args) == 0
+        m = json.loads((tmp_path / "metrics.json").read_text())
+        assert m["ess"] != m["ess_rem"]
+        for out, key, theirs in (("effsu", "ess", 0.5),
+                                 ("effsu_rem", "ess_rem", 0.25)):
+            want = (boltzmann.relative_ess(m[key], m["n_samples"], m["rt_s"])
+                    / boltzmann.relative_ess(theirs, 32, 2.0))
+            assert m[out] == want
+
+    def test_evaluate_one_sample(self, tmp_path):
+        cfg = net.ArchConfig(n_hidden=6, steps=1, knn_k=2).validate()
+        net.save_checkpoint(tmp_path / "checkpoint_best",
+                            net.init_params(cfg, seed=0), cfg)
+        args = self._base_args(tmp_path) + ["--set", "sample.count=1"]
+        assert run(["sample"] + args) == 0
+        assert run(["evaluate"] + args) == 0
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert metrics["n_samples"] == 1 and metrics["ess"] == 1.0
+
+    def test_hollow_sample_of_a_baseline_names_mode(self, tmp_path, capsys):
+        cfg = net.ArchConfig(n_hidden=6, steps=1, baseline=True).validate()
+        net.save_checkpoint(tmp_path / "checkpoint_best",
+                            net.init_params(cfg, seed=0), cfg)
+        args = self._base_args(tmp_path) + ["--set", "sample.count=2"]
+        assert run(["sample"] + args) == 1
+        assert "sample.divergence_mode" in capsys.readouterr().err
+        assert not (tmp_path / "samples.csv").exists()
+        brute = ["--set", 'sample.divergence_mode="brute"']
+        assert run(["sample"] + args + brute) == 0
+        assert (tmp_path / "samples.csv").exists()
 
     def test_sample_uses_training_labels(self, tmp_path):
         labels = np.array([0, 1, 1])

@@ -604,8 +604,8 @@ class TestShards:
             *_, stats = self.stage(self.x)
             assert ad.SHARD_POOLS == [] and flow._WORKERS is None
         assert threading.active_count() == threads
-        assert (stats["shards"], stats["usable_cores"],
-                stats["blas_threads"]) == (1, cores, blas)
+        assert (stats["shards"], flow.usable_cores(),
+                flow.blas_threads()) == (1, cores, blas)
 
     def test_idle_core_runs_a_second_shard(self, monkeypatch):
         monkeypatch.setattr(flow, "_WORKERS", None)

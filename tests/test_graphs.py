@@ -85,7 +85,7 @@ class TestLineGraph:
     def test_two_cycle_has_no_triples(self):
         g = graph_from_edges(2, [(0, 1), (1, 0)])
         lg = gt.build_line_graph(g)
-        assert lg.n_nodes == 2
+        assert lg.graph.n_edges == 2
         assert lg.n_triples == 0
 
     def test_chain(self):
@@ -116,7 +116,7 @@ class TestLineGraph:
             got = {(lg.t_tail[i], g.dst[lg.t_from[i]], lg.t_head[i])
                    for i in range(lg.n_triples)}
             assert got == enumerate_triples(g.edge_set())
-            assert lg.n_nodes == g.n_edges
+            assert lg.graph.n_edges == g.n_edges
 
     def test_knn_line_graph_edge_bound(self):
         rng = np.random.default_rng(9)

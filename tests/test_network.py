@@ -180,11 +180,8 @@ class TestForwardBasics:
         cfg = net.ArchConfig(n_hidden=4, baseline=True).validate()
         params = net.init_params(cfg, seed=0)
         x = np.zeros((2, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="use evaluate_field"):
             net.hollow_forward(params, cfg, x)
-        cfg2 = net.ArchConfig(n_hidden=4, knn_k=1).validate()
-        with pytest.raises(ValueError):
-            net.baseline_forward(net.init_params(cfg2, seed=0), cfg2, x)
 
 
 def plan_segments(plan):
@@ -708,7 +705,7 @@ class TestBaseline:
     def test_single_particle(self):
         cfg = net.ArchConfig(n_hidden=4, steps=2, baseline=True).validate()
         params = net.init_params(cfg, seed=0)
-        b = net.baseline_forward(params, cfg, np.array([[1.0, 2.0]]))
+        b = net.evaluate_field(params, cfg, np.array([[1.0, 2.0]]))
         np.testing.assert_array_equal(b, np.zeros((1, 2)))
 
     @pytest.mark.parametrize("pd", [False, True])
@@ -719,8 +716,8 @@ class TestBaseline:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((5, 3))
         R = rotation(3, rng)
-        b = net.baseline_forward(params, cfg, x, t=0.3)
-        b_rot = net.baseline_forward(params, cfg, x @ R.T, t=0.3)
+        b = net.evaluate_field(params, cfg, x, t=0.3)
+        b_rot = net.evaluate_field(params, cfg, x @ R.T, t=0.3)
         assert np.abs(b_rot - b @ R.T).max() <= 1e-8
 
     def test_divergence_needs_nd_passes(self):
